@@ -78,6 +78,16 @@ __all__ = [
 #: Seconds per simulated minute bucket.
 SECONDS_PER_MINUTE = 60.0
 
+#: Buffered CPU-stage events that trigger one batched scheduler call.  The
+#: buffer is flushed only between minutes, so a call holds whole minutes;
+#: larger buffers amortise little more and cost peak memory.
+_CPU_FLUSH_EVENTS = 2048
+
+#: Pool labels reserved per buffered minute: ``ordinal * _POOL_STRIDE +
+#: node + 1`` keeps every ``(minute, node)`` pool distinct for any realistic
+#: node count.
+_POOL_STRIDE = 1 << 32
+
 
 @dataclass(frozen=True)
 class EventConfig:
@@ -367,6 +377,12 @@ class EventTracker:
         self._cpu_delayed_events = 0
         self._cpu_wait_chunks: List[np.ndarray] = []
         self._slowdown_chunks: List[np.ndarray] = []
+        # Minutes of (positions, arrival, ready, pool) awaiting one batched
+        # scheduler call.
+        self._cpu_buffer: List[
+            Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+        ] = []
+        self._cpu_buffered_events = 0
         self._slo_checked_events = 0
         self._slo_violations = 0
 
@@ -531,18 +547,22 @@ class EventTracker:
         prov_wait_s: np.ndarray | None,
         node_of: np.ndarray | None,
     ) -> None:
-        """Run one minute's events through the node core pools.
+        """Queue one minute's events for the node core pools.
 
         ``pos_cold`` / ``arrival_cold_s`` / ``prov_wait_s`` are the already
         expanded per-event arrays of the minute's cold functions (``None``
         on an all-warm minute).  Warm functions' events are expanded here
         with a second jitter draw — taken *after* the minute's cold draw, so
-        the stream stays minute-major and deterministic.  Scheduling is per
-        node when ``node_of`` is given, one shared pool otherwise.
+        the stream stays minute-major and deterministic.  Each event is
+        labelled with its pool, ``(minute, node)`` when ``node_of`` is given
+        and ``minute`` otherwise, and buffered; :meth:`_flush_cpu` schedules
+        the buffer once it holds :data:`_CPU_FLUSH_EVENTS` events, and
+        :meth:`finalize` schedules the rest.
 
-        The stage only appends to the ``cpu_*``/slowdown/SLO accumulators;
-        the minute-granular counters above are already settled, which keeps
-        the CPU layer a pure observer.
+        The stage only appends to the ``cpu_*``/slowdown/SLO accumulators,
+        which nothing reads before :meth:`finalize`; the minute-granular
+        counters above are already settled, which keeps the CPU layer a pure
+        observer.
         """
         if cold_mask is None:
             warm_fns = invoked
@@ -572,20 +592,36 @@ class EventTracker:
         n_events = positions.size
         if n_events == 0:
             return
-        service_s = self._exec_s[positions]
-
-        completion_s = np.empty(n_events, dtype=float)
+        # Pools are (minute, node); the minute is numbered within the buffer,
+        # which keeps the labels of one flush well inside the scheduler's span.
+        minute_label = len(self._cpu_buffer) * _POOL_STRIDE
         if node_of is None:
-            completion_s[:] = self._scheduler.schedule(
-                ready_s, service_s, self._cores
-            )
+            pool = np.full(n_events, minute_label, dtype=np.int64)
         else:
-            nodes = node_of[positions]
-            for node in np.unique(nodes):
-                members = nodes == node
-                completion_s[members] = self._scheduler.schedule(
-                    ready_s[members], service_s[members], self._cores
-                )
+            # Capture the node now: a later migration rewrites ``node_of``.
+            # UNPLACED (-1) maps to a pool of its own.
+            pool = node_of[positions] + (minute_label + 1)
+        self._cpu_buffer.append((positions, arrival_s, ready_s, pool))
+        self._cpu_buffered_events += n_events
+        if self._cpu_buffered_events >= _CPU_FLUSH_EVENTS:
+            self._flush_cpu()
+
+    def _flush_cpu(self) -> None:
+        """Schedule every buffered minute in one call and fold the results.
+
+        The accumulators are elementwise in the buffered order, so they come
+        out exactly as if each minute had been scheduled on its own.
+        """
+        if not self._cpu_buffer:
+            return
+        positions, arrival_s, ready_s, pool = (
+            np.concatenate(parts) for parts in zip(*self._cpu_buffer)
+        )
+        self._cpu_buffer.clear()
+        self._cpu_buffered_events = 0
+        n_events = positions.size
+        service_s = self._exec_s[positions]
+        completion_s = self._scheduler.schedule(ready_s, service_s, self._cores, pool)
 
         cpu_wait_s = np.maximum(completion_s - ready_s - service_s, 0.0)
         sojourn_ms = (completion_s - arrival_s) * 1000.0
@@ -648,6 +684,7 @@ class EventTracker:
     # ------------------------------------------------------------------ #
     def finalize(self) -> LatencyStats:
         """Package the run's observations into a :class:`LatencyStats`."""
+        self._flush_cpu()
         if self._wait_chunks:
             waits = np.concatenate(self._wait_chunks)
             positions = np.concatenate(self._position_chunks)

@@ -13,9 +13,12 @@ from repro.simulation import (
     Simulator,
     simulate_policy,
 )
+from repro.simulation import events as events_module
 from repro.simulation.events import SECONDS_PER_MINUTE, expand_minute_offsets
+from repro.simulation.scheduling import InvocationScheduler, register_scheduler
 from repro.traces import (
     DEFAULT_DURATION_PROFILE,
+    split_trace,
     DurationProfile,
     FunctionRecord,
     Trace,
@@ -23,6 +26,7 @@ from repro.traces import (
     duration_profile_for,
 )
 from repro.traces.schema import TraceMetadata
+from scheduling_reference import reference_schedule
 
 
 # --------------------------------------------------------------------- #
@@ -398,3 +402,107 @@ class TestCpuScheduling:
             EventConfig(slo_ms=0.0)
         with pytest.raises(ValueError, match="slo_ms"):
             EventConfig(slo_ms=-5.0)
+
+
+# --------------------------------------------------------------------- #
+# Batched CPU stage against the per-minute reference
+# --------------------------------------------------------------------- #
+class _ReferenceScheduler(InvocationScheduler):
+    """The one-pool-per-call oracle behind the batched contract."""
+
+    def __init__(self, discipline):
+        self.discipline = discipline
+        self.name = f"test-reference-{discipline}"
+
+    def schedule(self, arrival_s, service_s, cores, pool):
+        return reference_schedule(self.discipline, arrival_s, service_s, cores, pool)
+
+
+@pytest.fixture(scope="module")
+def short_split(small_trace):
+    """The small trace's last six hours as the simulated window."""
+    return split_trace(small_trace, training_days=2.75)
+
+
+@pytest.fixture
+def reference_schedulers():
+    from repro.simulation import scheduling
+
+    added = [
+        register_scheduler(_ReferenceScheduler(name)).name
+        for name in ("fifo", "rr", "srtf", "las")
+    ]
+    yield
+    for name in added:
+        scheduling._SCHEDULERS.pop(name, None)
+
+
+class TestBatchedCpuStage:
+    """Buffered, batched scheduling reproduces per-minute scheduling exactly.
+
+    The reference runs flush after every minute (one scheduler call per
+    minute, as before batching) through the per-pool oracle; the batched
+    runs buffer whole minutes and schedule them together.
+    """
+
+    # Four nodes whose sustained pressure migrates instances mid-run, so
+    # node_of changes between a minute's observation and its flush.
+    CLUSTER = ClusterModel(
+        memory_capacity=16,
+        n_nodes=4,
+        placement="least-loaded",
+        pressure_threshold=0.6,
+        pressure_minutes=2,
+    )
+
+    def _run(self, split, scheduler, cluster):
+        return simulate_policy(
+            IndexedFixedKeepAlivePolicy(10),
+            split.simulation,
+            warmup_minutes=0,
+            engine="event",
+            events=EventConfig(
+                seed=5,
+                execution_scale=10.0,
+                cpu=CpuConfig(cores_per_node=2, scheduler=scheduler),
+                slo_ms=2000.0,
+            ),
+            cluster=cluster,
+        )
+
+    def _reference(self, split, discipline, cluster, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(events_module, "_CPU_FLUSH_EVENTS", 1)
+            return self._run(split, f"test-reference-{discipline}", cluster)
+
+    @staticmethod
+    def _assert_identical(batched, reference):
+        assert batched.cpu_scheduled_events == reference.cpu_scheduled_events
+        assert batched.cpu_delayed_events == reference.cpu_delayed_events
+        assert batched.slo_checked_events == reference.slo_checked_events
+        assert batched.slo_violations == reference.slo_violations
+        for name in ("cpu_wait_ms", "slowdown", "cold_wait_ms"):
+            got, want = getattr(batched, name), getattr(reference, name)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("clustered", [True, False], ids=["migrating-4-node", "no-cluster"])
+    @pytest.mark.parametrize("discipline", ["fifo", "rr", "srtf", "las"])
+    def test_matches_per_minute_reference(
+        self, short_split, reference_schedulers, monkeypatch, discipline, clustered
+    ):
+        cluster = self.CLUSTER if clustered else None
+        batched = self._run(short_split, discipline, cluster)
+        reference = self._reference(short_split, discipline, cluster, monkeypatch)
+        self._assert_identical(batched.latency, reference.latency)
+        latency = batched.latency
+        # Both the contended and the uncontended path carry events.
+        assert latency.cpu_scheduled_events > events_module._CPU_FLUSH_EVENTS
+        assert 0 < latency.cpu_delayed_events < latency.cpu_scheduled_events
+        if clustered:
+            assert batched.cluster.migrations > 0
+
+    def test_many_small_flushes(self, short_split, reference_schedulers, monkeypatch):
+        reference = self._reference(short_split, "srtf", self.CLUSTER, monkeypatch)
+        monkeypatch.setattr(events_module, "_CPU_FLUSH_EVENTS", 50)
+        batched = self._run(short_split, "srtf", self.CLUSTER)
+        self._assert_identical(batched.latency, reference.latency)
