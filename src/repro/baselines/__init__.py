@@ -16,8 +16,9 @@
   ``event-feedback`` engine's rolling latency window.
 
 Every dict-based policy above also ships an index-native ``Indexed*`` twin
-(fingerprint-identical decisions, vectorized stepping); nothing needs the
-``DictPolicyAdapter`` anymore.
+(fingerprint-identical decisions, vectorized stepping).  The policy
+registry's names build the ``Indexed*`` twins; the dict classes are the
+equivalence tests' oracle.
 """
 
 from repro.baselines.fixed_keepalive import FixedKeepAlivePolicy

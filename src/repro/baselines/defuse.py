@@ -71,46 +71,52 @@ def mine_dependencies(
     """
     dependencies: List[Dependency] = []
     duration = training.duration_minutes
-    minute_cache: Dict[str, np.ndarray] = {}
-
-    def invoked_minutes(function_id: str) -> np.ndarray:
-        minutes = minute_cache.get(function_id)
-        if minutes is None:
-            minutes = np.nonzero(training.series(function_id))[0]
-            minute_cache[function_id] = minutes
-        return minutes
-
     for members in candidate_groups.values():
         members = [fid for fid in members if fid in training]
         if len(members) < 2:
             continue
-        for predecessor in members:
-            pred_minutes = invoked_minutes(predecessor)
-            if pred_minutes.size < min_support:
+        minutes = [np.nonzero(training.series(fid))[0] for fid in members]
+        # A never-invoked predecessor has no support to divide by.
+        predecessors = [
+            i for i, pred in enumerate(minutes) if pred.size >= max(min_support, 1)
+        ]
+        if not predecessors:
+            continue
+        # Every predecessor invocation at minute m opens the windows
+        # [m + 1, strong_end] and [m + 1, weak_end], ends clipped to the
+        # trace; a window whose end falls before its start is empty.  With
+        # an integer prefix sum `prefix` over a successor's invoked minutes,
+        # a window [a, b] holds an invocation iff prefix[b + 1] > prefix[a].
+        pred_minutes = np.concatenate([minutes[i] for i in predecessors])
+        starts = pred_minutes + 1
+        strong_stops = np.clip(pred_minutes + strong_lag, pred_minutes, duration - 1) + 1
+        weak_stops = np.clip(pred_minutes + weak_lag, pred_minutes, duration - 1) + 1
+        sizes = [minutes[i].size for i in predecessors]
+        segments = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+
+        strong_hits = np.zeros((len(predecessors), len(members)), dtype=np.int64)
+        weak_hits = np.zeros_like(strong_hits)
+        prefix = np.zeros(duration + 1, dtype=np.int64)
+        for j, succ_minutes in enumerate(minutes):
+            if succ_minutes.size == 0:
                 continue
-            for successor in members:
-                if successor == predecessor:
-                    continue
-                succ_minutes = invoked_minutes(successor)
-                if succ_minutes.size == 0:
-                    continue
-                succ_mask = np.zeros(duration + weak_lag + 1, dtype=bool)
-                succ_mask[succ_minutes] = True
+            succ_mask = np.zeros(duration, dtype=bool)
+            succ_mask[succ_minutes] = True
+            np.cumsum(succ_mask, out=prefix[1:])
+            before = prefix[starts]
+            strong = prefix[strong_stops] > before
+            weak = strong | (prefix[weak_stops] > before)
+            strong_hits[:, j] = np.add.reduceat(strong, segments, dtype=np.int64)
+            weak_hits[:, j] = np.add.reduceat(weak, segments, dtype=np.int64)
 
-                strong_hits = 0
-                weak_hits = 0
-                for minute in pred_minutes:
-                    strong_end = min(minute + strong_lag, duration - 1)
-                    weak_end = min(minute + weak_lag, duration - 1)
-                    if minute + 1 <= strong_end and succ_mask[minute + 1 : strong_end + 1].any():
-                        strong_hits += 1
-                        weak_hits += 1
-                    elif minute + 1 <= weak_end and succ_mask[minute + 1 : weak_end + 1].any():
-                        weak_hits += 1
-
-                support = pred_minutes.size
-                strong_conf = strong_hits / support
-                weak_conf = weak_hits / support
+        for row, i in enumerate(predecessors):
+            predecessor = members[i]
+            support = sizes[row]
+            for j, successor in enumerate(members):
+                if successor == predecessor or minutes[j].size == 0:
+                    continue
+                strong_conf = int(strong_hits[row, j]) / support
+                weak_conf = int(weak_hits[row, j]) / support
                 if strong_conf >= strong_confidence:
                     dependencies.append(
                         Dependency(predecessor, successor, strong_conf, strong_lag, True)

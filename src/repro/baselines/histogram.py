@@ -62,6 +62,7 @@ class IdleTimeHistogram:
         self.min_samples = min_samples
         self.max_oob_fraction = max_oob_fraction
         self._bins = np.zeros(range_minutes + 1, dtype=np.int64)
+        self._in_bounds = 0
         self._oob = 0
 
     # ------------------------------------------------------------------ #
@@ -73,17 +74,31 @@ class IdleTimeHistogram:
             self._oob += 1
         else:
             self._bins[idle_minutes] += 1
+            self._in_bounds += 1
 
     def observe_many(self, idle_times: Iterable[int]) -> None:
-        """Record several idle times."""
-        for idle in idle_times:
-            self.observe(int(idle))
+        """Record several idle times (all or none: a negative one rejects the batch)."""
+        if not isinstance(idle_times, np.ndarray):
+            idle_times = np.fromiter(idle_times, dtype=np.int64)
+        idle = idle_times.astype(np.int64, copy=False)
+        if idle.size == 0:
+            return
+        if idle.min() < 0:
+            raise ValueError("idle_minutes must be non-negative")
+        # Every out-of-bounds idle time lands in one extra trailing bin.
+        counts = np.bincount(
+            np.minimum(idle, self.range_minutes + 1), minlength=self.range_minutes + 2
+        )
+        self._bins += counts[:-1]
+        oob = int(counts[-1])
+        self._oob += oob
+        self._in_bounds += idle.size - oob
 
     # ------------------------------------------------------------------ #
     @property
     def in_bounds_count(self) -> int:
         """Number of recorded idle times within the histogram range."""
-        return int(self._bins.sum())
+        return self._in_bounds
 
     @property
     def out_of_bounds_count(self) -> int:
@@ -93,37 +108,44 @@ class IdleTimeHistogram:
     @property
     def total_count(self) -> int:
         """Total number of recorded idle times."""
-        return self.in_bounds_count + self._oob
+        return self._in_bounds + self._oob
 
     @property
     def is_representative(self) -> bool:
         """Whether the histogram has enough in-bounds data to be trusted."""
-        total = self.total_count
-        if total == 0 or self.in_bounds_count < self.min_samples:
+        total = self._in_bounds + self._oob
+        if total == 0 or self._in_bounds < self.min_samples:
             return False
         return (self._oob / total) <= self.max_oob_fraction
 
     # ------------------------------------------------------------------ #
+    def _percentiles(self, *percentiles: float) -> list[int]:
+        """Several percentiles of the in-bounds idle times from one ``cumsum``."""
+        count = self._in_bounds
+        if count == 0:
+            return [self.range_minutes] * len(percentiles)
+        targets = [max(np.ceil(count * p / 100.0), 1) for p in percentiles]
+        indices = self._bins.cumsum().searchsorted(targets).tolist()
+        return [min(index, self.range_minutes) for index in indices]
+
     def percentile(self, percentile: float) -> int:
         """Return the requested percentile of the in-bounds idle times."""
-        count = self.in_bounds_count
-        if count == 0:
-            return self.range_minutes
-        target = np.ceil(count * percentile / 100.0)
-        target = max(target, 1)
-        cumulative = np.cumsum(self._bins)
-        index = int(np.searchsorted(cumulative, target))
-        return min(index, self.range_minutes)
+        return self._percentiles(percentile)[0]
+
+    def windows(self) -> tuple[int, int]:
+        """``(prewarm_window, keep_alive_window)``, derived together."""
+        prewarm, keep_alive = self._percentiles(self.head_percentile, self.tail_percentile)
+        return prewarm, max(keep_alive, 1)
 
     @property
     def prewarm_window(self) -> int:
         """Minutes to wait after an invocation before re-loading the instance."""
-        return self.percentile(self.head_percentile)
+        return self.windows()[0]
 
     @property
     def keep_alive_window(self) -> int:
         """Minutes after an invocation until the instance is evicted."""
-        return max(self.percentile(self.tail_percentile), 1)
+        return self.windows()[1]
 
     def as_array(self) -> np.ndarray:
         """Copy of the histogram bins (index = idle minutes)."""

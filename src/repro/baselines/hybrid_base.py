@@ -135,8 +135,7 @@ class HybridHistogramPolicyBase(ProvisioningPolicy):
         for unit, minutes in unit_minutes.items():
             if minutes.size < 2:
                 continue
-            idle_times = np.diff(minutes)
-            self._units[unit].histogram.observe_many(int(idle) for idle in idle_times)
+            self._units[unit].histogram.observe_many(np.diff(minutes))
 
     def reset(self) -> None:
         for state in self._units.values():
@@ -174,8 +173,7 @@ class HybridHistogramPolicyBase(ProvisioningPolicy):
         elapsed_next = (minute + 1) - state.last_invocation
         histogram = state.histogram
         if histogram.is_representative:
-            prewarm = histogram.prewarm_window
-            keep_alive = histogram.keep_alive_window
+            prewarm, keep_alive = histogram.windows()
             if elapsed_next > keep_alive:
                 return False
             if prewarm > 1 and elapsed_next < prewarm:

@@ -34,10 +34,11 @@ function-index space instead of Python dict/set churn.
   bookkeeping replaced by a monotone per-invocation sequence array; capacity
   eviction is an argsort of the (rarely oversized) live set by that
   sequence, and an explicit tombstone mask reproduces the dict twin's
-  "evicted stays evicted until re-invoked" semantics.  This was the last
-  baseline still stepping through the :class:`~repro.simulation
-  .vector_policy.DictPolicyAdapter`; every policy now has an index-native
-  implementation.
+  "evicted stays evicted until re-invoked" semantics.
+
+The policy registry (:data:`~repro.experiments.parallel.POLICY_REGISTRY`)
+builds these classes for the paper's policy names, so no paper policy steps
+through the :class:`~repro.simulation.vector_policy.DictPolicyAdapter`.
 """
 
 from __future__ import annotations
@@ -155,8 +156,7 @@ class _IndexedHybridBase(VectorizedPolicy, HybridHistogramPolicyBase):
         representative = histogram.is_representative
         self._unit_representative[u] = representative
         if representative:
-            self._unit_prewarm[u] = histogram.prewarm_window
-            self._unit_keepalive[u] = histogram.keep_alive_window
+            self._unit_prewarm[u], self._unit_keepalive[u] = histogram.windows()
 
     def reset(self) -> None:
         super().reset()

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Mapping
 
-from repro.core import SpesConfig, SpesPolicy
+from repro.core import IndexedSpesPolicy, SpesConfig
 from repro.experiments.parallel import ParallelRunner, PolicySpec, default_policy_specs
 from repro.simulation import ProvisioningPolicy, SimulationResult, Simulator
 from repro.simulation.spec import RunSpec
@@ -116,7 +116,7 @@ class ExperimentRunner:
         self._split = split
         self._results: Dict[str, SimulationResult] = {}
         self._result_specs: Dict[str, PolicySpec] = {}
-        self._spes_policy: SpesPolicy | None = None
+        self._spes_policy: IndexedSpesPolicy | None = None
         self._parallel: ParallelRunner | None = None
 
     # ------------------------------------------------------------------ #
@@ -139,10 +139,10 @@ class ExperimentRunner:
     # ------------------------------------------------------------------ #
     # Policy suite
     # ------------------------------------------------------------------ #
-    def spes_policy(self) -> SpesPolicy:
+    def spes_policy(self) -> IndexedSpesPolicy:
         """The SPES policy instance used for the cached main run."""
         if self._spes_policy is None:
-            self._spes_policy = SpesPolicy(self.config.spes_config)
+            self._spes_policy = IndexedSpesPolicy(self.config.spes_config)
         return self._spes_policy
 
     def baseline_factories(self) -> Dict[str, Callable[[], ProvisioningPolicy]]:
@@ -268,7 +268,7 @@ class ExperimentRunner:
         """Run a SPES variant with a different configuration (sweeps, ablations)."""
         if cache_key is not None and cache_key in self._results:
             return self._results[cache_key]
-        result = self.simulate(SpesPolicy(config), cache_key=cache_key)
+        result = self.simulate(IndexedSpesPolicy(config), cache_key=cache_key)
         if cache_key is not None:
             self._result_specs[cache_key] = PolicySpec.of("spes", config=config)
         return result

@@ -1,11 +1,19 @@
 """Tests for the Defuse dependency-guided baseline."""
 
 import numpy as np
+import pytest
+from defuse_reference import mine_dependencies_reference
 
 from repro.baselines import DefusePolicy, IndexedDefusePolicy
 from repro.baselines.defuse import mine_dependencies
 from repro.simulation import simulate_policy
-from repro.traces import FunctionRecord, Trace, TriggerType
+from repro.traces import (
+    AzureTraceGenerator,
+    FunctionRecord,
+    GeneratorProfile,
+    Trace,
+    TriggerType,
+)
 from repro.traces.schema import TraceMetadata
 
 
@@ -62,6 +70,71 @@ class TestDependencyMining:
         trace = build_trace({"parent": parent, "child": child}, records)
         dependencies = mine_dependencies(trace, trace.functions_by_app(), min_support=3)
         assert dependencies == []
+
+
+def seeded_app_trace(seed):
+    """Random apps of 2-5 functions: independent, lag-chained and dense series.
+
+    One function per app also fires at the last minute, whose windows are
+    empty once clipped to the trace.
+    """
+    rng = np.random.default_rng(seed)
+    duration = int(rng.integers(120, 900))
+    counts, records = {}, []
+    for app in range(int(rng.integers(2, 5))):
+        members = []
+        for k in range(int(rng.integers(2, 6))):
+            fid = f"a{app}f{k}"
+            if members and rng.random() < 0.5:
+                # Follows an earlier member after a random lag, with dropout.
+                source = counts[members[int(rng.integers(len(members)))]]
+                series = np.roll(source, int(rng.integers(1, 12)))
+                series[: int(rng.integers(0, 12))] = 0
+                series = series * (rng.random(duration) < rng.uniform(0.5, 1.0))
+            else:
+                series = (rng.random(duration) < rng.uniform(0.002, 0.3)).astype(np.int64)
+            if k == 0:
+                series[-1] = 1
+            counts[fid] = series.astype(np.int64)
+            records.append(FunctionRecord(fid, f"app{app}", "owner"))
+            members.append(fid)
+    counts["empty"] = np.zeros(duration, dtype=np.int64)
+    records.append(FunctionRecord("empty", "app0", "owner"))
+    return build_trace(counts, records, name=f"seeded{seed}")
+
+
+class TestMiningMatchesReferenceLoop:
+    """The prefix-sum miner against the per-minute loop it replaced."""
+
+    @pytest.mark.parametrize("strong_lag, weak_lag", [(1, 3), (2, 10), (5, 30)])
+    def test_identical_dependency_lists(self, strong_lag, weak_lag):
+        found = {True: 0, False: 0}
+        for seed in range(12):
+            trace = seeded_app_trace(seed)
+            kwargs = dict(
+                strong_lag=strong_lag,
+                weak_lag=weak_lag,
+                strong_confidence=0.6,
+                weak_confidence=0.3,
+                min_support=1,
+            )
+            groups = trace.functions_by_app()
+            expected = mine_dependencies_reference(trace, groups, **kwargs)
+            assert mine_dependencies(trace, groups, **kwargs) == expected, seed
+            for dependency in expected:
+                found[dependency.strong] += 1
+        # Both flavours must occur, or the comparison would be vacuous.
+        assert found[True] and found[False]
+
+    def test_default_thresholds_on_generated_population(self):
+        profile = GeneratorProfile(
+            n_functions=40, duration_days=2.0, unseen_window_days=0.5, seed=3
+        )
+        trace = AzureTraceGenerator(profile).generate()
+        groups = trace.functions_by_app()
+        expected = mine_dependencies_reference(trace, groups)
+        assert expected
+        assert mine_dependencies(trace, groups) == expected
 
 
 class TestDefusePolicy:

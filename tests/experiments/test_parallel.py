@@ -4,7 +4,15 @@ import pickle
 
 import pytest
 
-from repro.core import SpesConfig
+from repro.baselines import (
+    DefusePolicy,
+    FaasCachePolicy,
+    FixedKeepAlivePolicy,
+    HybridApplicationPolicy,
+    HybridFunctionPolicy,
+    LcsPolicy,
+)
+from repro.core import SpesConfig, SpesPolicy
 from repro.experiments import ExperimentConfig, ExperimentRunner
 from repro.experiments.parallel import (
     POLICY_REGISTRY,
@@ -87,6 +95,35 @@ class TestRegistryCoverage:
             if name.endswith("-indexed") or name == "latency-keepalive":
                 policy = factory() if name != "faascache-indexed" else factory(capacity=4)
                 assert isinstance(policy, VectorizedPolicy), name
+
+    #: Bare paper names -> their dict-stepping twins (the equivalence oracle).
+    PAPER_TWINS = {
+        "spes": SpesPolicy,
+        "fixed-keepalive": FixedKeepAlivePolicy,
+        "fixed-10min": lambda: FixedKeepAlivePolicy(keep_alive_minutes=10),
+        "hybrid-function": HybridFunctionPolicy,
+        "hybrid-application": HybridApplicationPolicy,
+        "defuse": DefusePolicy,
+        "faascache": FaasCachePolicy,
+        "lcs": LcsPolicy,
+    }
+
+    def test_bare_paper_names_run_index_native(self):
+        from repro.simulation import VectorizedPolicy
+
+        for name, dict_factory in self.PAPER_TWINS.items():
+            policy = POLICY_REGISTRY[name]()
+            twin = dict_factory()
+            assert isinstance(policy, VectorizedPolicy), name
+            assert not isinstance(twin, VectorizedPolicy), name
+            assert policy.name == twin.name, name
+            assert policy.shard_safe == twin.shard_safe, name
+
+    def test_indexed_keys_alias_the_bare_names(self):
+        for name in self.PAPER_TWINS:
+            alias = POLICY_REGISTRY[f"{name}-indexed"]
+            assert alias is POLICY_REGISTRY[name], name
+            assert type(alias()) is type(POLICY_REGISTRY[name]()), name
 
 
 class TestCellSeeds:
