@@ -9,7 +9,7 @@ Throughput is measured on the paper's default workload shape (400 functions,
 14 days, 2-day simulation window) with engine-bound policies, so the numbers
 isolate the engine's accounting cost rather than any policy's decision cost.
 A ≥3x speedup is asserted for the policy sweep scenario (several policies
-over one shared window — the shape the parallel experiment runner fans out).
+over one shared window — the shape the experiment suite fans out).
 
 Also reported: wall-clock of a small policy suite executed serially vs.
 through the ``ParallelRunner`` process pool (informative only — the ratio
@@ -54,9 +54,8 @@ ENGINE_BOUND_POLICIES = (
 
 @pytest.fixture(scope="module")
 def throughput_split():
-    from repro.experiments import ExperimentRunner
-
-    return ExperimentRunner(THROUGHPUT_CONFIG).split
+    suite = ExperimentSuite(THROUGHPUT_CONFIG)
+    return suite.traces()[suite.trace_key(THROUGHPUT_CONFIG.seed)]
 
 
 def _sweep_seconds(split, engine: str) -> float:

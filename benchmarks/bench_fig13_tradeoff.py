@@ -11,9 +11,9 @@ from repro.experiments.rq3_tradeoff import givenup_sweep, linear_fit, prewarm_sw
 from .conftest import save_and_print
 
 
-def test_fig13a_prewarm_sweep(benchmark, runner, output_dir):
+def test_fig13a_prewarm_sweep(benchmark, suite, output_dir):
     points = benchmark.pedantic(
-        prewarm_sweep, args=(runner,), kwargs={"values": (1, 2, 3, 5, 10)}, rounds=1, iterations=1
+        prewarm_sweep, args=(suite,), kwargs={"values": (1, 2, 3, 5, 10)}, rounds=1, iterations=1
     )
     slope, intercept = linear_fit(points)
     table = sweep_table(points, "theta_prewarm", "Fig. 13a - theta_prewarm sweep")
@@ -26,9 +26,9 @@ def test_fig13a_prewarm_sweep(benchmark, runner, output_dir):
     assert slope < 0
 
 
-def test_fig13b_givenup_sweep(benchmark, runner, output_dir):
+def test_fig13b_givenup_sweep(benchmark, suite, output_dir):
     points = benchmark.pedantic(
-        givenup_sweep, args=(runner,), kwargs={"scales": (1, 2, 3, 4, 5)}, rounds=1, iterations=1
+        givenup_sweep, args=(suite,), kwargs={"scales": (1, 2, 3, 4, 5)}, rounds=1, iterations=1
     )
     slope, intercept = linear_fit(points)
     table = sweep_table(points, "givenup_scale", "Fig. 13b - theta_givenup sweep")

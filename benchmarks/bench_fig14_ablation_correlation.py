@@ -10,8 +10,8 @@ from repro.experiments.rq4_ablation import ablation_table, correlation_ablation
 from .conftest import save_and_print
 
 
-def test_fig14_correlation_ablation(benchmark, runner, output_dir):
-    results = benchmark.pedantic(correlation_ablation, args=(runner,), rounds=1, iterations=1)
+def test_fig14_correlation_ablation(benchmark, suite, output_dir):
+    results = benchmark.pedantic(correlation_ablation, args=(suite,), rounds=1, iterations=1)
     table = ablation_table(results, "Fig. 14 - correlation ablation")
     save_and_print(output_dir, "fig14_ablation_correlation", table.render())
 

@@ -11,8 +11,8 @@ from repro.experiments.rq4_ablation import ablation_table, adaptivity_ablation
 from .conftest import save_and_print
 
 
-def test_fig15_adaptivity_ablation(benchmark, runner, output_dir):
-    results = benchmark.pedantic(adaptivity_ablation, args=(runner,), rounds=1, iterations=1)
+def test_fig15_adaptivity_ablation(benchmark, suite, output_dir):
+    results = benchmark.pedantic(adaptivity_ablation, args=(suite,), rounds=1, iterations=1)
     table = ablation_table(results, "Fig. 15 - adaptivity ablation")
     save_and_print(output_dir, "fig15_ablation_adaptivity", table.render())
 

@@ -11,7 +11,7 @@ from repro.core import SpesPolicy
 from repro.experiments import rq2_memory
 from repro.simulation import Simulator
 
-from .conftest import save_and_print
+from .conftest import BENCHMARK_CONFIG, save_and_print
 
 
 def test_rq2_overhead_table(benchmark, all_results, output_dir):
@@ -21,9 +21,8 @@ def test_rq2_overhead_table(benchmark, all_results, output_dir):
         assert result.overhead_per_minute >= 0.0
 
 
-def test_rq2_spes_decision_throughput(benchmark, runner):
+def test_rq2_spes_decision_throughput(benchmark, split):
     """Time a full SPES simulation minute-loop over the 2-day window."""
-    split = runner.split
 
     def run_spes_once():
         simulator = Simulator(
@@ -31,7 +30,7 @@ def test_rq2_spes_decision_throughput(benchmark, runner):
             training_trace=split.training,
             warmup_minutes=0,
         )
-        return simulator.run(SpesPolicy(runner.config.spes_config))
+        return simulator.run(SpesPolicy(BENCHMARK_CONFIG.spes_config))
 
     result = benchmark.pedantic(run_spes_once, rounds=1, iterations=1)
     assert result.total_invocations > 0

@@ -10,12 +10,12 @@ functions without usable history stay unknown).
 from repro.core import OfflineCategorizer
 from repro.metrics.summary import ComparisonTable
 
-from .conftest import save_and_print
+from .conftest import BENCHMARK_CONFIG, save_and_print
 
 
-def test_table1_offline_categorization(benchmark, runner, output_dir):
-    training = runner.split.training
-    categorizer = OfflineCategorizer(runner.config.spes_config)
+def test_table1_offline_categorization(benchmark, split, output_dir):
+    training = split.training
+    categorizer = OfflineCategorizer(BENCHMARK_CONFIG.spes_config)
 
     result = benchmark.pedantic(categorizer.categorize, args=(training,), rounds=1, iterations=1)
 

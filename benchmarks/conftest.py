@@ -14,7 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import ExperimentConfig, ExperimentRunner
+from repro.core import IndexedSpesPolicy
+from repro.experiments import ExperimentConfig, ExperimentSuite
+from repro.simulation import simulate_policy
+from repro.traces import AzureTraceGenerator
 
 #: Workload used by every benchmark: 14 days, 12-day training window, a few
 #: hundred functions so the whole suite completes in minutes on a laptop.
@@ -30,28 +33,37 @@ OUTPUT_DIR = Path(__file__).parent / "output"
 
 
 @pytest.fixture(scope="session")
-def runner() -> ExperimentRunner:
-    """The shared experiment runner (workload generated lazily)."""
-    return ExperimentRunner(BENCHMARK_CONFIG)
+def suite() -> ExperimentSuite:
+    """The shared experiment suite (workload generated lazily)."""
+    return ExperimentSuite(BENCHMARK_CONFIG)
 
 
 @pytest.fixture(scope="session")
-def trace(runner):
+def split(suite):
+    """Training / simulation split of the benchmark workload."""
+    return suite.traces()[suite.trace_key(BENCHMARK_CONFIG.seed)]
+
+
+@pytest.fixture(scope="session")
+def trace():
     """The full 14-day synthetic workload."""
-    return runner.trace
+    return AzureTraceGenerator(BENCHMARK_CONFIG.generator_profile()).generate()
 
 
 @pytest.fixture(scope="session")
-def all_results(runner):
+def all_results(suite):
     """Simulation results of SPES and every baseline (computed once)."""
-    return runner.run_all()
+    return suite.run().results[BENCHMARK_CONFIG.seed]
 
 
 @pytest.fixture(scope="session")
-def spes_policy(runner):
-    """The prepared SPES policy behind the cached SPES result."""
-    runner.run_spes()
-    return runner.spes_policy()
+def spes_policy(split):
+    """A SPES policy prepared by a full run over the benchmark workload."""
+    policy = IndexedSpesPolicy(BENCHMARK_CONFIG.spes_config)
+    simulate_policy(
+        policy, split.simulation, split.training, warmup_minutes=BENCHMARK_CONFIG.warmup_minutes
+    )
+    return policy
 
 
 @pytest.fixture(scope="session")

@@ -21,26 +21,25 @@ try:
 except ImportError:  # clean checkout: put <repo>/src on the path
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.experiments import ExperimentConfig, ExperimentRunner, PolicySpec
+from repro.experiments import ExperimentConfig, ExperimentSuite
 
 
 def main() -> None:
     # 1. Configure a workload: 120 functions, 14 days of per-minute
     #    invocations, split into the paper's 12-day training / 2-day
-    #    simulation windows.  The runner generates and splits it lazily.
+    #    simulation windows.  The suite generates and splits it once.
     config = ExperimentConfig(n_functions=120, seed=7)
-    runner = ExperimentRunner(config)
-    trace = runner.trace
-    print(f"workload: {len(trace)} functions, {trace.duration_days:.0f} days, "
-          f"{trace.total_invocations():,} invocations")
+    suite = ExperimentSuite(config, policies=("spes", "fixed-10min"))
+    split = suite.traces()[suite.trace_key(config.seed)]
+    invocations = split.training.total_invocations() + split.simulation.total_invocations()
+    print(f"workload: {len(split.simulation)} functions, "
+          f"{split.training.duration_days + split.simulation.duration_days:.0f} days, "
+          f"{invocations:,} invocations")
 
-    # 2. Simulate SPES and the fixed keep-alive baseline.  run_specs() takes
-    #    picklable policy descriptions, memoizes each result, and — with
-    #    ExperimentRunner(config, workers=N) — fans out across processes.
-    results = runner.run_specs({
-        "spes": PolicySpec.of("spes", config=config.spes_config),
-        "fixed-10min": PolicySpec.of("fixed-keepalive", keep_alive_minutes=10),
-    })
+    # 2. Simulate SPES and the fixed keep-alive baseline.  The suite runs
+    #    each policy as a cell of its workload and — with
+    #    ExperimentSuite(config, workers=N) — fans them out across processes.
+    results = suite.run().results[config.seed]
 
     # 3. Compare the headline metrics.
     print(f"\n{'metric':<32}{'SPES':>12}{'fixed-10min':>14}")

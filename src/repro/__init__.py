@@ -28,7 +28,7 @@ from repro.traces import (
     load_azure_invocation_csv,
     split_trace,
 )
-from repro.experiments import ExperimentConfig, ExperimentRunner
+from repro.experiments import ExperimentConfig, ExperimentSuite
 
 __version__ = "1.0.0"
 
@@ -47,6 +47,6 @@ __all__ = [
     "load_azure_invocation_csv",
     "split_trace",
     "ExperimentConfig",
-    "ExperimentRunner",
+    "ExperimentSuite",
     "__version__",
 ]

@@ -83,7 +83,6 @@ from repro.analysis import (
 from repro.experiments import (
     DEFAULT_SUITE_POLICIES,
     ExperimentConfig,
-    ExperimentRunner,
     ExperimentSuite,
     rq1_coldstart,
     rq2_memory,
@@ -95,6 +94,7 @@ from repro.experiments.rq4_ablation import (
     correlation_ablation,
 )
 from repro.metrics.summary import build_comparison
+from repro.traces import AzureTraceGenerator
 
 
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
@@ -108,19 +108,26 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _runner_from_args(args: argparse.Namespace) -> ExperimentRunner:
-    config = ExperimentConfig(
+def _fail(error: Exception) -> int:
+    """Report an invalid-input error on stderr; exit status 2."""
+    print(f"error: {error.args[0] if error.args else error}", file=sys.stderr)
+    return 2
+
+
+def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    return ExperimentConfig(
         n_functions=args.functions,
         seed=args.seed,
         duration_days=args.days,
         training_days=args.training_days,
     )
-    return ExperimentRunner(config)
 
 
 def _command_compare(args: argparse.Namespace) -> int:
-    runner = _runner_from_args(args)
-    results = runner.run_all()
+    try:
+        results = ExperimentSuite(_config_from_args(args)).run().results[args.seed]
+    except (KeyError, ValueError) as error:
+        return _fail(error)
     print(build_comparison(results, title="SPES vs. baselines").render())
     print()
     print(rq1_coldstart.headline_improvements(results).render())
@@ -134,8 +141,7 @@ def _command_compare(args: argparse.Namespace) -> int:
 
 
 def _command_analyze(args: argparse.Namespace) -> int:
-    runner = _runner_from_args(args)
-    trace = runner.trace
+    trace = AzureTraceGenerator(_config_from_args(args).generator_profile()).generate()
     print("Invocation-count summary (Fig. 3):")
     for key, value in invocation_count_summary(trace).items():
         print(f"  {key}: {value:.2f}")
@@ -167,13 +173,16 @@ def _command_analyze(args: argparse.Namespace) -> int:
 
 
 def _command_tradeoff(args: argparse.Namespace) -> int:
-    runner = _runner_from_args(args)
-    prewarm_points = prewarm_sweep(runner)
+    suite = ExperimentSuite(_config_from_args(args))
+    try:
+        prewarm_points = prewarm_sweep(suite)
+        givenup_points = givenup_sweep(suite)
+    except (KeyError, ValueError) as error:
+        return _fail(error)
     print(sweep_table(prewarm_points, "theta_prewarm", "Fig. 13a - theta_prewarm sweep").render())
     slope, intercept = linear_fit(prewarm_points)
     print(f"linear fit: q3_csr = {slope:.4f} * memory + {intercept:.4f}")
     print()
-    givenup_points = givenup_sweep(runner)
     print(sweep_table(givenup_points, "givenup_scale", "Fig. 13b - theta_givenup sweep").render())
     slope, intercept = linear_fit(givenup_points)
     print(f"linear fit: q3_csr = {slope:.4f} * memory + {intercept:.4f}")
@@ -181,10 +190,15 @@ def _command_tradeoff(args: argparse.Namespace) -> int:
 
 
 def _command_ablation(args: argparse.Namespace) -> int:
-    runner = _runner_from_args(args)
-    print(ablation_table(correlation_ablation(runner), "Fig. 14 - correlation ablation").render())
+    suite = ExperimentSuite(_config_from_args(args))
+    try:
+        correlation = correlation_ablation(suite)
+        adaptivity = adaptivity_ablation(suite)
+    except (KeyError, ValueError) as error:
+        return _fail(error)
+    print(ablation_table(correlation, "Fig. 14 - correlation ablation").render())
     print()
-    print(ablation_table(adaptivity_ablation(runner), "Fig. 15 - adaptivity ablation").render())
+    print(ablation_table(adaptivity, "Fig. 15 - adaptivity ablation").render())
     return 0
 
 
@@ -296,8 +310,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
         else:
             suite = _suite_from_args(args, workers=workers, cache_dir=cache_dir)
     except (ManifestError, KeyError, ValueError) as error:
-        print(f"error: {error.args[0] if error.args else error}", file=sys.stderr)
-        return 2
+        return _fail(error)
     scenario = suite.scenario
     profiler = None
     if getattr(args, "profile", False):
@@ -310,8 +323,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
     except (KeyError, ValueError) as error:
         # Unknown policy names and invalid runner settings surface once the
         # suite builds its parallel runner and resolves its specs.
-        print(f"error: {error.args[0] if error.args else error}", file=sys.stderr)
-        return 2
+        return _fail(error)
     finally:
         if profiler is not None:
             profiler.disable()
@@ -398,8 +410,7 @@ def _command_config(args: argparse.Namespace) -> int:
     try:
         suite = _suite_from_args(args)
     except (KeyError, ValueError) as error:
-        print(f"error: {error.args[0] if error.args else error}", file=sys.stderr)
-        return 2
+        return _fail(error)
     document = {
         "engine_version": ENGINE_VERSION,
         "spec": suite.spec.canonical(),
@@ -416,8 +427,7 @@ def _command_config(args: argparse.Namespace) -> int:
         try:
             keys, skipped = suite.static_cache_keys()
         except (KeyError, ValueError) as error:
-            print(f"error: {error.args[0] if error.args else error}", file=sys.stderr)
-            return 2
+            return _fail(error)
         document["cache_keys"] = keys
         for name in skipped:
             print(
@@ -449,8 +459,7 @@ def _command_results(args: argparse.Namespace) -> int:
         )
         document = generate_results(config, echo=not args.quiet)
     except (KeyError, ValueError) as error:
-        print(f"error: {error.args[0] if error.args else error}", file=sys.stderr)
-        return 2
+        return _fail(error)
     if args.output == "-":
         print(document, end="")
     else:
@@ -483,8 +492,7 @@ def _command_latency_rq(args: argparse.Namespace) -> int:
             cache_dir=args.cache_dir,
         )
     except (KeyError, ValueError) as error:
-        print(f"error: {error.args[0] if error.args else error}", file=sys.stderr)
-        return 2
+        return _fail(error)
     print(latency_rq_table(report).render(float_format="{:.1f}"))
     mode = "open-loop training" if args.no_streaming else "streaming"
     print(
@@ -517,8 +525,7 @@ def _command_slowdown_rq(args: argparse.Namespace) -> int:
             cache_dir=args.cache_dir,
         )
     except (KeyError, ValueError) as error:
-        print(f"error: {error.args[0] if error.args else error}", file=sys.stderr)
-        return 2
+        return _fail(error)
     print(slowdown_rq_table(report).render(float_format="{:.2f}"))
     combos = len(args.schedulers) * len(args.cores)
     print(

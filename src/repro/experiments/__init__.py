@@ -2,24 +2,25 @@
 
 Layout
 ------
-:class:`ExperimentRunner` (``runner``)
-    Owns one workload (synthetic Azure-like trace or a loaded real trace),
-    its train/simulation split and the policy suite, memoizing one result
-    per policy.  Constructed with ``workers > 1`` it fans independent
-    simulations out over a process pool.
+:class:`ExperimentSuite` (``suite``)
+    The one experiment front-end.  Prepares each seed's workload once
+    (synthetic Azure-like trace or a scenario, e.g. the real dataset) and
+    runs the policy comparison as ``(policy × seed)`` cells; its
+    :meth:`~ExperimentSuite.run_spes_variants` runs SPES configuration
+    batches on the first seed's workload.  Every cell result is memoized
+    by content.  Constructed with ``workers > 1`` it fans cells out over a
+    process pool.  Configured by :class:`ExperimentConfig`.
 :mod:`~repro.experiments.parallel`
     The fan-out machinery: :class:`PolicySpec` (picklable policy
     descriptions resolved against :data:`POLICY_REGISTRY`),
     :class:`SweepCell`, the on-disk :class:`ResultCache` and
     :class:`ParallelRunner` itself.
-:class:`ExperimentSuite` (``suite``)
-    Multi-seed orchestration of the full policy comparison — the engine
-    behind the ``spes-repro sweep`` CLI subcommand.
 ``rq1_coldstart`` … ``rq4_ablation``
     Turn simulation results into the numbers behind each figure of the
     paper.  The RQ3 sweeps and RQ4 ablations batch their variant runs
-    through :meth:`ExperimentRunner.run_spes_variants`, so they too
-    parallelize when the runner has workers.
+    through :meth:`ExperimentSuite.run_spes_variants`, so they too
+    parallelize when the suite has workers, and reuse the suite's SPES
+    result as their reference.
 ``manifest``
     Run manifests: record a sweep's canonical run spec, trace fingerprints
     and per-cell result fingerprints as JSON, then replay it later with
@@ -32,14 +33,12 @@ Layout
 
 Typical use::
 
-    from repro.experiments import ExperimentConfig, ExperimentRunner
+    from repro.experiments import ExperimentConfig, ExperimentSuite
 
-    runner = ExperimentRunner(ExperimentConfig(n_functions=400), workers=4)
-    results = runner.run_all()          # {"spes": ..., "fixed-10min": ..., ...}
+    suite = ExperimentSuite(ExperimentConfig(n_functions=400), workers=4)
+    results = suite.run().results[2024]   # {"spes": ..., "fixed-10min": ..., ...}
 
 or, for several seeds at once::
-
-    from repro.experiments import ExperimentSuite
 
     suite = ExperimentSuite(seeds=[2024, 2025, 2026], workers=4)
     outcome = suite.run()
@@ -67,8 +66,12 @@ from repro.experiments.parallel import (
     register_policy,
 )
 from repro.experiments.results import ResultsConfig, generate_results, write_results
-from repro.experiments.runner import ExperimentConfig, ExperimentRunner
-from repro.experiments.suite import DEFAULT_SUITE_POLICIES, ExperimentSuite, SuiteResult
+from repro.experiments.suite import (
+    DEFAULT_SUITE_POLICIES,
+    ExperimentConfig,
+    ExperimentSuite,
+    SuiteResult,
+)
 from repro.experiments import (
     rq1_coldstart,
     rq2_memory,
@@ -80,7 +83,6 @@ from repro.experiments import (
 
 __all__ = [
     "ExperimentConfig",
-    "ExperimentRunner",
     "ExperimentSuite",
     "SuiteResult",
     "DEFAULT_SUITE_POLICIES",

@@ -26,8 +26,7 @@ from pathlib import Path
 from typing import Dict, Mapping, Tuple
 
 from repro.core import SpesConfig
-from repro.experiments.runner import ExperimentConfig
-from repro.experiments.suite import ExperimentSuite, SuiteResult
+from repro.experiments.suite import ExperimentConfig, ExperimentSuite, SuiteResult
 from repro.simulation.spec import ENGINE_VERSION, RunSpec, canonical_value
 
 __all__ = [

@@ -170,10 +170,8 @@ def _accepts_seed(factory: Callable[..., ProvisioningPolicy]) -> bool:
     return "seed" in parameters
 
 
-def default_policy_specs(
-    include_lcs: bool = False, faascache_capacity: int | None = None
-) -> Dict[str, PolicySpec]:
-    """The paper's baseline suite as named specs (FaaSCache needs a capacity)."""
+def default_policy_specs(faascache_capacity: int | None = None) -> Dict[str, PolicySpec]:
+    """The paper's baselines plus LCS as named specs (FaaSCache needs a capacity)."""
     specs = {
         "fixed-10min": PolicySpec.of("fixed-keepalive", keep_alive_minutes=10),
         "hybrid-function": PolicySpec.of("hybrid-function"),
@@ -182,8 +180,7 @@ def default_policy_specs(
     }
     if faascache_capacity is not None:
         specs["faascache"] = PolicySpec.of("faascache", capacity=faascache_capacity)
-    if include_lcs:
-        specs["lcs"] = PolicySpec.of("lcs")
+    specs["lcs"] = PolicySpec.of("lcs")
     return specs
 
 
@@ -191,12 +188,13 @@ def derive_cell_seed(base_seed: int, spec: PolicySpec) -> int:
     """Deterministic per-cell seed: stable across runs, machines and workers.
 
     Derived only from content (the workload's base seed and the policy
-    spec), never from presentation details like trace-mapping keys, so
-    identical cells submitted through different entry points (e.g.
-    :class:`~repro.experiments.runner.ExperimentRunner` vs
-    :class:`~repro.experiments.suite.ExperimentSuite`) share one seed and
-    therefore one on-disk cache entry.  Bounded to 32 bits so it can feed
-    numpy's legacy RNG seeding directly.
+    spec), never from presentation details like trace-mapping keys or cell
+    names, so an identical cell submitted twice (e.g. the base-config SPES
+    cell of :meth:`~repro.experiments.suite.ExperimentSuite.run` and of a
+    :meth:`~repro.experiments.suite.ExperimentSuite.run_spes_variants`
+    batch, or the same cell from another suite over the same workload)
+    shares one seed and therefore one on-disk cache entry.  Bounded to 32
+    bits so it can feed numpy's legacy RNG seeding directly.
     """
     return int(_digest(base_seed, spec)[:8], 16)
 

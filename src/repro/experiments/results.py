@@ -27,8 +27,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Sequence
 
-from repro.experiments.runner import ExperimentConfig, ExperimentRunner
-from repro.experiments.suite import DEFAULT_SUITE_POLICIES, ExperimentSuite, SuiteResult
+from repro.experiments.suite import (
+    DEFAULT_SUITE_POLICIES,
+    ExperimentConfig,
+    ExperimentSuite,
+    SuiteResult,
+)
 from repro.experiments import rq1_coldstart, rq2_memory
 from repro.experiments.rq3_tradeoff import (
     givenup_sweep,
@@ -44,7 +48,6 @@ from repro.experiments.rq4_ablation import (
 from repro.experiments.rq5_latency import latency_rq, latency_rq_table
 from repro.experiments.rq6_slowdown import slowdown_rq, slowdown_rq_table
 from repro.metrics.summary import ComparisonTable
-from repro.scenarios import build_scenario
 from repro.simulation import SimulationResult
 from repro.simulation.spec import RunSpec
 
@@ -253,33 +256,19 @@ def generate_results(config: ResultsConfig | None = None, echo: bool = False) ->
     sections.append("\n".join(rq2_parts).rstrip())
 
     # ------------------------------------------------------------------ #
-    # RQ3 + RQ4: SPES-variant batches on the first seed's workload.
+    # RQ3 + RQ4: SPES-variant batches on the first seed's workload, run by
+    # the same suite (its seed-0 SPES cell is the variants' reference).
     # ------------------------------------------------------------------ #
     _progress("RQ3 trade-off sweeps", echo)
-    workload = build_scenario(
-        scenario,
-        seed=seeds[0],
-        n_functions=config.n_functions,
-        days=config.days,
-        training_days=config.training_days,
-        **scenario_params,
-    )
-    runner = ExperimentRunner(
-        config=config.experiment_config(seeds[0]),
-        split=workload.split,
-        workers=config.workers,
-        cache_dir=config.cache_dir,
-        memory_mode=config.memory_mode,
-    )
     rq3_parts = ["## RQ3 — memory / cold-start trade-off", ""]
-    prewarm_points = prewarm_sweep(runner)
+    prewarm_points = prewarm_sweep(suite)
     table = sweep_table(
         prewarm_points, "theta_prewarm", f"Fig. 13a - theta_prewarm sweep (seed {seeds[0]})"
     )
     rq3_parts.append(table.to_markdown())
     slope, intercept = linear_fit(prewarm_points)
     rq3_parts += ["", f"Linear fit: `q3_csr = {slope:.4f} * memory + {intercept:.4f}`", ""]
-    givenup_points = givenup_sweep(runner)
+    givenup_points = givenup_sweep(suite)
     table = sweep_table(
         givenup_points, "givenup_scale", f"Fig. 13b - theta_givenup sweep (seed {seeds[0]})"
     )
@@ -291,11 +280,11 @@ def generate_results(config: ResultsConfig | None = None, echo: bool = False) ->
     _progress("RQ4 ablations", echo)
     rq4_parts = ["## RQ4 — ablations of the complementary designs", ""]
     table = ablation_table(
-        correlation_ablation(runner), f"Fig. 14 - correlation ablation (seed {seeds[0]})"
+        correlation_ablation(suite), f"Fig. 14 - correlation ablation (seed {seeds[0]})"
     )
     rq4_parts += [table.to_markdown(), ""]
     table = ablation_table(
-        adaptivity_ablation(runner), f"Fig. 15 - adaptivity ablation (seed {seeds[0]})"
+        adaptivity_ablation(suite), f"Fig. 15 - adaptivity ablation (seed {seeds[0]})"
     )
     rq4_parts.append(table.to_markdown())
     sections.append("\n".join(rq4_parts).rstrip())

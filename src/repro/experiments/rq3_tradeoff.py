@@ -14,7 +14,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.suite import ExperimentSuite
 from repro.metrics.summary import ComparisonTable
 
 
@@ -29,19 +29,20 @@ class TradeoffPoint:
 
 
 def _sweep_points(
-    runner: ExperimentRunner, variants: "dict[str, tuple[float, object]]"
+    suite: ExperimentSuite, variants: "dict[str, tuple[float, object]]"
 ) -> List[TradeoffPoint]:
     """Simulate ``{key: (parameter, config)}`` as one batch and build points.
 
-    The batch goes through :meth:`ExperimentRunner.run_spes_variants`, so a
-    runner constructed with ``workers > 1`` simulates every sweep point
+    The batch goes through :meth:`ExperimentSuite.run_spes_variants`
+    together with the base configuration, whose result is the memory
+    reference; a suite with ``workers > 1`` simulates every sweep point
     concurrently.
     """
-    reference = runner.run_spes()
-    reference_memory = reference.average_memory_usage or 1.0
-    results = runner.run_spes_variants(
-        {key: config for key, (_, config) in variants.items()}
+    results = suite.run_spes_variants(
+        {"spes": suite.config.spes_config}
+        | {key: config for key, (_, config) in variants.items()}
     )
+    reference_memory = results["spes"].average_memory_usage or 1.0
     return [
         TradeoffPoint(
             parameter=float(parameter),
@@ -54,16 +55,16 @@ def _sweep_points(
 
 
 def prewarm_sweep(
-    runner: ExperimentRunner,
+    suite: ExperimentSuite,
     values: Sequence[int] = (1, 2, 3, 5, 10),
 ) -> List[TradeoffPoint]:
     """Sweep ``theta_prewarm`` (Fig. 13a)."""
     return _sweep_points(
-        runner,
+        suite,
         {
             f"spes-prewarm-{value}": (
                 float(value),
-                runner.config.spes_config.replace(theta_prewarm=int(value)),
+                suite.config.spes_config.replace(theta_prewarm=int(value)),
             )
             for value in values
         },
@@ -71,16 +72,16 @@ def prewarm_sweep(
 
 
 def givenup_sweep(
-    runner: ExperimentRunner,
+    suite: ExperimentSuite,
     scales: Sequence[int] = (1, 2, 3, 4, 5),
 ) -> List[TradeoffPoint]:
     """Sweep the ``theta_givenup`` multiplier (Fig. 13b)."""
     return _sweep_points(
-        runner,
+        suite,
         {
             f"spes-givenup-x{scale}": (
                 float(scale),
-                runner.config.spes_config.scaled_givenup(int(scale)),
+                suite.config.spes_config.scaled_givenup(int(scale)),
             )
             for scale in scales
         },

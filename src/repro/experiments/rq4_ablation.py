@@ -12,49 +12,42 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.suite import ExperimentSuite
 from repro.metrics.summary import ComparisonTable
 from repro.simulation.results import SimulationResult
 
 
-def correlation_ablation(runner: ExperimentRunner) -> Dict[str, SimulationResult]:
+def correlation_ablation(suite: ExperimentSuite) -> Dict[str, SimulationResult]:
     """Run SPES with the correlation designs disabled (Fig. 14).
 
-    The two ablated variants are simulated as one batch through
-    :meth:`ExperimentRunner.run_spes_variants`, so a parallel runner executes
-    them concurrently.
+    The full-SPES reference and the two ablated variants are simulated as
+    one batch through :meth:`ExperimentSuite.run_spes_variants`, so a
+    parallel suite executes them concurrently, and a suite that already ran
+    its ``spes`` cell reuses that result as the reference.
     """
-    base_config = runner.config.spes_config
-    variants = runner.run_spes_variants(
+    base_config = suite.config.spes_config
+    return suite.run_spes_variants(
         {
-            "spes-no-corr": base_config.replace(enable_correlation=False),
-            "spes-no-online-corr": base_config.replace(enable_online_correlation=False),
+            "spes": base_config,
+            "w/o-corr": base_config.replace(enable_correlation=False),
+            "w/o-online-corr": base_config.replace(enable_online_correlation=False),
         }
     )
-    return {
-        "spes": runner.run_spes(),
-        "w/o-corr": variants["spes-no-corr"],
-        "w/o-online-corr": variants["spes-no-online-corr"],
-    }
 
 
-def adaptivity_ablation(runner: ExperimentRunner) -> Dict[str, SimulationResult]:
+def adaptivity_ablation(suite: ExperimentSuite) -> Dict[str, SimulationResult]:
     """Run SPES with the concept-shift designs disabled (Fig. 15).
 
     Batched like :func:`correlation_ablation`.
     """
-    base_config = runner.config.spes_config
-    variants = runner.run_spes_variants(
+    base_config = suite.config.spes_config
+    return suite.run_spes_variants(
         {
-            "spes-no-forgetting": base_config.replace(enable_forgetting=False),
-            "spes-no-adjusting": base_config.replace(enable_adjusting=False),
+            "spes": base_config,
+            "w/o-forgetting": base_config.replace(enable_forgetting=False),
+            "w/o-adjusting": base_config.replace(enable_adjusting=False),
         }
     )
-    return {
-        "spes": runner.run_spes(),
-        "w/o-forgetting": variants["spes-no-forgetting"],
-        "w/o-adjusting": variants["spes-no-adjusting"],
-    }
 
 
 def ablation_table(results: Dict[str, SimulationResult], title: str) -> ComparisonTable:

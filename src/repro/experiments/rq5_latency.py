@@ -23,8 +23,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, Mapping, Sequence
 
-from repro.experiments.runner import ExperimentConfig
-from repro.experiments.suite import ExperimentSuite
+from repro.experiments.suite import ExperimentConfig, ExperimentSuite
 from repro.metrics.summary import ComparisonTable
 from repro.simulation import LatencyStats
 

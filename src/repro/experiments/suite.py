@@ -15,7 +15,10 @@ RQ1/RQ2 sweep approaches ``serial time / workers`` plus the one-off workload
 preparation.  Results are keyed ``{seed: {policy: SimulationResult}}`` and,
 with a ``cache_dir``, persisted so repeated sweeps only simulate new cells.
 
-This module is the engine behind the ``spes-repro sweep`` CLI subcommand.
+The suite is the only experiment front-end: the ``spes-repro``
+``compare``/``tradeoff``/``ablation``/``sweep`` commands, the RQ3 sweeps
+and RQ4 ablations (through :meth:`ExperimentSuite.run_spes_variants`) and
+the results book all run on it.
 """
 
 from __future__ import annotations
@@ -26,19 +29,20 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Mapping, Sequence
 
+from repro.core import SpesConfig
 from repro.experiments.parallel import (
     POLICY_REGISTRY,
     ParallelRunner,
     PolicySpec,
+    SweepCell,
     default_policy_specs,
 )
-from repro.experiments.runner import ExperimentConfig
 from repro.metrics.summary import ComparisonTable
 from repro.simulation import EventConfig, LatencyStats, SimulationResult
-from repro.simulation.spec import EVENT_ENGINES, RunSpec
-from repro.traces import AzureTraceGenerator, TraceSplit, split_trace
+from repro.simulation.spec import EVENT_ENGINES, RunSpec, content_digest
+from repro.traces import AzureTraceGenerator, GeneratorProfile, TraceSplit, split_trace
 
-__all__ = ["ExperimentSuite", "SuiteResult", "DEFAULT_SUITE_POLICIES"]
+__all__ = ["ExperimentConfig", "ExperimentSuite", "SuiteResult", "DEFAULT_SUITE_POLICIES"]
 
 #: Policy names of the paper's comparison, in presentation order.
 DEFAULT_SUITE_POLICIES = (
@@ -49,6 +53,45 @@ DEFAULT_SUITE_POLICIES = (
     "defuse",
     "faascache",
 )
+
+
+@dataclass
+class ExperimentConfig:
+    """Configuration of one reproduction experiment.
+
+    Attributes
+    ----------
+    n_functions:
+        Number of functions in the synthetic workload.
+    seed:
+        Workload seed.
+    duration_days:
+        Total trace length (the Azure trace spans 14 days).
+    training_days:
+        Days used for offline pattern modelling (12 in the paper).
+    warmup_minutes:
+        Minutes of history replayed through each policy before metrics start.
+    spes_config:
+        SPES configuration of the suite's ``spes`` cells; the RQ3 sweeps and
+        RQ4 ablations vary it.
+    """
+
+    n_functions: int = 400
+    seed: int = 2024
+    duration_days: float = 14.0
+    training_days: float = 12.0
+    warmup_minutes: int = 1440
+    spes_config: SpesConfig = field(default_factory=SpesConfig)
+
+    def generator_profile(self) -> GeneratorProfile:
+        """Profile of the synthetic workload generator for this experiment."""
+        return GeneratorProfile(
+            n_functions=self.n_functions,
+            duration_days=self.duration_days,
+            # Keep the unseen-function window inside short experiment traces.
+            unseen_window_days=min(2.0, self.duration_days / 4.0),
+            seed=self.seed,
+        )
 
 
 @dataclass
@@ -285,6 +328,11 @@ class SuiteResult:
         return table
 
 
+def _memo_key(trace_key: str, spec: PolicySpec) -> tuple[str, str]:
+    """Content key of one cell's result within a suite."""
+    return trace_key, content_digest(spec)
+
+
 class ExperimentSuite:
     """Runs the policy comparison over several seeds with shared machinery.
 
@@ -477,6 +525,8 @@ class ExperimentSuite:
         self._clusters: Dict[str, object] = {}
         self._events: Dict[str, EventConfig] = {}
         self._runner: ParallelRunner | None = None
+        # Every simulated cell, keyed by content: (trace key, spec digest).
+        self._memo: Dict[tuple[str, str], SimulationResult] = {}
 
     # ------------------------------------------------------------------ #
     @staticmethod
@@ -590,7 +640,7 @@ class ExperimentSuite:
                 )
                 for seed in self.seeds
             ]
-            for seed, (_, result) in zip(self.seeds, runner.run_cells(spes_cells).items()):
+            for seed, result in zip(self.seeds, self._run_cells(spes_cells).values()):
                 results[seed]["spes"] = result
 
         # Stage 2: every remaining (policy × seed) cell in one fan-out.
@@ -606,7 +656,7 @@ class ExperimentSuite:
                         base_seed=seed,
                     )
                 )
-        for cell_name, result in runner.run_cells(cells).items():
+        for cell_name, result in self._run_cells(cells).items():
             trace_key, policy_name = cell_name.split("/", 1)
             seed = int(trace_key.removeprefix("seed"))
             results[seed][policy_name] = result
@@ -627,6 +677,39 @@ class ExperimentSuite:
             cache_hits=(runner.cache.hits - hits_before) if runner.cache else 0,
             cache_misses=(runner.cache.misses - misses_before) if runner.cache else 0,
         )
+
+    def run_spes_variants(
+        self, variants: Mapping[str, SpesConfig]
+    ) -> Dict[str, SimulationResult]:
+        """Simulate SPES configurations (sweeps, ablations) on the first seed.
+
+        The batch runs as cells of ``seeds[0]``'s workload through the
+        suite's :class:`ParallelRunner`, so it fans out over the pool and
+        shares the on-disk cache exactly like :meth:`run`.  Results are
+        memoized by content — ``(trace key, policy spec)`` — so a variant
+        already simulated by this suite (including the base-config SPES cell
+        of :meth:`run`) is returned as the same object, not re-simulated.
+        """
+        seed = self.seeds[0]
+        trace_key = self.trace_key(seed)
+        runner = self.parallel_runner()
+        specs = {
+            name: PolicySpec.of("spes", config=config) for name, config in variants.items()
+        }
+        pending: Dict[tuple[str, str], SweepCell] = {}
+        for name, spec in specs.items():
+            key = _memo_key(trace_key, spec)
+            if key not in self._memo and key not in pending:
+                pending[key] = runner.cell(f"{trace_key}/{name}", spec, trace_key, base_seed=seed)
+        self._run_cells(list(pending.values()))
+        return {name: self._memo[_memo_key(trace_key, spec)] for name, spec in specs.items()}
+
+    def _run_cells(self, cells: Sequence[SweepCell]) -> Dict[str, SimulationResult]:
+        """Run ``cells`` on the shared runner, recording each in the memo."""
+        results = self.parallel_runner().run_cells(cells)
+        for cell in cells:
+            self._memo[_memo_key(cell.trace_key, cell.spec)] = results[cell.name]
+        return results
 
     # ------------------------------------------------------------------ #
     def static_cache_keys(self) -> tuple[Dict[str, str], tuple[str, ...]]:
@@ -666,7 +749,7 @@ class ExperimentSuite:
         capacity = (
             max(1, int(spes_result.peak_memory_usage)) if spes_result is not None else None
         )
-        available = default_policy_specs(include_lcs=True, faascache_capacity=capacity)
+        available = default_policy_specs(faascache_capacity=capacity)
         available["no-keepalive"] = PolicySpec.of("no-keepalive")
         available["always-warm"] = PolicySpec.of("always-warm")
         specs = {}

@@ -13,7 +13,7 @@ from repro.baselines import (
     LcsPolicy,
 )
 from repro.core import SpesConfig, SpesPolicy
-from repro.experiments import ExperimentConfig, ExperimentRunner
+from repro.experiments import ExperimentConfig, default_policy_specs
 from repro.experiments.parallel import (
     POLICY_REGISTRY,
     ParallelRunner,
@@ -318,11 +318,13 @@ def tiny_config():
     )
 
 
-class TestExperimentRunnerParallel:
-    def test_parallel_run_all_matches_serial(self, tiny_config):
-        serial = ExperimentRunner(tiny_config).run_all()
-        parallel = ExperimentRunner(tiny_config, workers=2).run_all()
-        assert set(serial) == set(parallel)
+class TestExperimentSuiteVariants:
+    VARIANTS = {"prewarm-1": SpesConfig(theta_prewarm=1), "prewarm-5": SpesConfig(theta_prewarm=5)}
+
+    def test_parallel_variant_batch_matches_serial(self, tiny_config):
+        serial = ExperimentSuite(tiny_config).run_spes_variants(self.VARIANTS)
+        parallel = ExperimentSuite(tiny_config, workers=2).run_spes_variants(self.VARIANTS)
+        assert list(serial) == list(parallel) == list(self.VARIANTS)
         for name, result in serial.items():
             assert (
                 result.deterministic_fingerprint()
@@ -330,28 +332,36 @@ class TestExperimentRunnerParallel:
             ), name
 
     def test_run_spes_variants_batch_is_memoized(self, tiny_config):
-        runner = ExperimentRunner(tiny_config)
+        suite = ExperimentSuite(tiny_config)
         variants = {"variant-a": SpesConfig(theta_prewarm=1)}
-        first = runner.run_spes_variants(variants)
-        second = runner.run_spes_variants(variants)
+        first = suite.run_spes_variants(variants)
+        second = suite.run_spes_variants(variants)
         assert first["variant-a"] is second["variant-a"]
 
-    def test_run_specs_rejects_name_reuse_with_different_spec(self, tiny_config):
-        runner = ExperimentRunner(tiny_config)
-        runner.run_specs({"x": PolicySpec.of("fixed-keepalive", keep_alive_minutes=10)})
-        with pytest.raises(ValueError):
-            runner.run_specs({"x": PolicySpec.of("fixed-keepalive", keep_alive_minutes=60)})
+    def test_memo_is_keyed_by_content_not_name(self, tiny_config):
+        suite = ExperimentSuite(tiny_config)
+        first = suite.run_spes_variants({"x": SpesConfig(theta_prewarm=1)})["x"]
+        # The same name bound to a different config is that config's result,
+        # never the other config's memoized one.
+        second = suite.run_spes_variants({"x": SpesConfig(theta_prewarm=10)})["x"]
+        assert second is not first
+        fresh = ExperimentSuite(tiny_config).run_spes_variants(
+            {"y": SpesConfig(theta_prewarm=10)}
+        )["y"]
+        assert second.deterministic_fingerprint() == fresh.deterministic_fingerprint()
+        # Two names for one config in one batch share one simulation.
+        both = suite.run_spes_variants({"a": SpesConfig(), "b": SpesConfig()})
+        assert both["a"] is both["b"]
 
-    def test_baseline_factories_match_specs(self, tiny_config):
-        runner = ExperimentRunner(tiny_config)
-        factories = runner.baseline_factories()
-        assert set(factories) == set(runner.baseline_specs())
-        assert factories["fixed-10min"]().keep_alive_minutes == 10
+    def test_default_specs_build_the_paper_baselines(self):
+        specs = default_policy_specs(faascache_capacity=4)
+        assert specs["fixed-10min"].build().keep_alive_minutes == 10
+        assert specs["faascache"].build().capacity == 4
 
-    def test_runner_disk_cache(self, tiny_config, tmp_path):
-        first = ExperimentRunner(tiny_config, cache_dir=tmp_path)
+    def test_suite_disk_cache(self, tiny_config, tmp_path):
+        first = ExperimentSuite(tiny_config, cache_dir=tmp_path)
         first.run_spes_variants({"v": SpesConfig(theta_prewarm=1)})
-        second = ExperimentRunner(tiny_config, cache_dir=tmp_path)
+        second = ExperimentSuite(tiny_config, cache_dir=tmp_path)
         second.run_spes_variants({"v": SpesConfig(theta_prewarm=1)})
         assert second.parallel_runner().cache.hits == 1
 

@@ -378,7 +378,7 @@ class TestClosedLoopOutcomes:
         be strictly below the fixed keep-alive's at the same base horizon.
         """
         from repro.experiments.rq5_latency import latency_rq
-        from repro.experiments.runner import ExperimentConfig
+        from repro.experiments import ExperimentConfig
 
         config = ExperimentConfig(
             n_functions=self.SHAPE["n_functions"],

@@ -76,6 +76,48 @@ class TestExecution:
         assert "spes" in captured.out
         assert "fixed-10min" in captured.out
 
+    def test_tradeoff_runs_on_tiny_workload(self, capsys):
+        exit_code = main(["tradeoff"] + self.TINY)
+        out = capsys.readouterr().out
+        assert exit_code == 0
+        prewarm, givenup = out.split("Fig. 13b - theta_givenup sweep")
+        assert "Fig. 13a - theta_prewarm sweep" in prewarm
+        # One row per sweep value; the default configuration (prewarm 2,
+        # givenup x1) is the memory reference, so it normalizes to 1.
+        for part, parameter, reference in (
+            (prewarm, "theta_prewarm", "2.0000"),
+            (givenup, "givenup_scale", "1.0000"),
+        ):
+            assert f"{parameter}  normalized_memory  q3_csr  wasted_memory_time" in part
+            rows = [line.split() for line in part.splitlines() if line[:1].isdigit()]
+            assert len(rows) == 5, parameter
+            assert next(row for row in rows if row[0] == reference)[1] == "1.0000"
+            assert part.count("linear fit: q3_csr = ") == 1
+
+    def test_ablation_runs_on_tiny_workload(self, capsys):
+        exit_code = main(["ablation"] + self.TINY)
+        out = capsys.readouterr().out
+        assert exit_code == 0
+        correlation, adaptivity = out.split("Fig. 15 - adaptivity ablation")
+        assert "Fig. 14 - correlation ablation" in correlation
+        for part, variants in (
+            (correlation, ("w/o-corr", "w/o-online-corr")),
+            (adaptivity, ("w/o-forgetting", "w/o-adjusting")),
+        ):
+            rows = {line.split()[0]: line.split() for line in part.splitlines() if line.strip()}
+            assert rows["spes"][2:] == ["1.0000", "1.0000"]
+            assert all(variant in rows for variant in variants)
+
+    @pytest.mark.parametrize("command", ["compare", "tradeoff", "ablation"])
+    def test_training_window_filling_trace_exits_with_error(self, command, capsys):
+        exit_code = main(
+            [command, "--functions", "20", "--days", "2", "--training-days", "2"]
+        )
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert "error: training_days=2.0 does not fit a trace of 2.00 days" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_sweep_runs_on_tiny_workload(self, capsys, tmp_path):
         arguments = [
             "sweep",

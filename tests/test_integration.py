@@ -9,27 +9,40 @@ the benchmark harness instead.
 
 import pytest
 
-from repro.core import SpesConfig, SpesPolicy
+from repro.core import IndexedSpesPolicy, SpesConfig, SpesPolicy
 from repro.core.categories import FunctionCategory
-from repro.experiments import ExperimentConfig, ExperimentRunner
+from repro.experiments import ExperimentConfig, ExperimentSuite
 from repro.simulation import simulate_policy
+
+SEED = 2024
 
 
 @pytest.fixture(scope="module")
-def runner():
+def suite():
     config = ExperimentConfig(
         n_functions=150,
-        seed=2024,
+        seed=SEED,
         duration_days=6.0,
         training_days=5.0,
         warmup_minutes=720,
     )
-    return ExperimentRunner(config)
+    return ExperimentSuite(config)
 
 
 @pytest.fixture(scope="module")
-def results(runner):
-    return runner.run_all()
+def results(suite):
+    return suite.run().results[SEED]
+
+
+@pytest.fixture(scope="module")
+def spes_policy(suite):
+    """A SPES instance prepared by a direct run over the suite's workload."""
+    split = suite.traces()[suite.trace_key(SEED)]
+    policy = IndexedSpesPolicy(suite.config.spes_config)
+    simulate_policy(
+        policy, split.simulation, split.training, warmup_minutes=suite.config.warmup_minutes
+    )
+    return policy
 
 
 class TestHeadlineShape:
@@ -70,40 +83,40 @@ class TestHeadlineShape:
 
 
 class TestCategorizationCoverage:
-    def test_most_functions_categorized(self, runner):
-        runner.run_spes()
-        assignments = runner.spes_policy().category_assignments()
+    def test_most_functions_categorized(self, spes_policy):
+        assignments = spes_policy.category_assignments()
         unknown = sum(
             1 for category in assignments.values() if category is FunctionCategory.UNKNOWN
         )
         assert unknown / len(assignments) < 0.25
 
-    def test_multiple_categories_present(self, runner):
-        runner.run_spes()
-        categories = set(runner.spes_policy().category_assignments().values())
+    def test_multiple_categories_present(self, spes_policy):
+        categories = set(spes_policy.category_assignments().values())
         assert len(categories) >= 4
 
 
 class TestAblationShape:
-    def test_disabling_correlation_does_not_improve_cold_starts(self, runner):
-        full = runner.run_spes()
-        without = runner.run_spes_variant(
-            runner.config.spes_config.replace(
-                enable_correlation=False, enable_online_correlation=False
-            ),
-            cache_key="integration-no-corr",
-        )
-        assert full.q3_cold_start_rate <= without.q3_cold_start_rate + 0.05
+    def test_disabling_correlation_does_not_improve_cold_starts(self, suite, results):
+        without = suite.run_spes_variants(
+            {
+                "no-corr": suite.config.spes_config.replace(
+                    enable_correlation=False, enable_online_correlation=False
+                )
+            }
+        )["no-corr"]
+        assert results["spes"].q3_cold_start_rate <= without.q3_cold_start_rate + 0.05
 
 
 class TestTradeoffShape:
-    def test_larger_prewarm_window_trades_memory_for_cold_starts(self, runner):
-        small = runner.run_spes_variant(
-            runner.config.spes_config.replace(theta_prewarm=1), cache_key="integration-pre1"
+    def test_larger_prewarm_window_trades_memory_for_cold_starts(self, suite):
+        base = suite.config.spes_config
+        variants = suite.run_spes_variants(
+            {
+                "pre1": base.replace(theta_prewarm=1),
+                "pre10": base.replace(theta_prewarm=10),
+            }
         )
-        large = runner.run_spes_variant(
-            runner.config.spes_config.replace(theta_prewarm=10), cache_key="integration-pre10"
-        )
+        small, large = variants["pre1"], variants["pre10"]
         assert large.average_memory_usage >= small.average_memory_usage
         assert large.q3_cold_start_rate <= small.q3_cold_start_rate + 0.05
 
