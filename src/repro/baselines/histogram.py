@@ -17,9 +17,24 @@ keep-alive.
 
 from __future__ import annotations
 
-from typing import Iterable
+import math
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
+
+#: Histograms per stacked ``cumsum`` in :func:`batched_windows`: bounds the
+#: temporary arrays (a few MB at the default 240-minute range) when a whole
+#: population's windows are derived at once.
+_BATCH_ROWS = 4096
+
+
+def _rank_target(count: int, percentile: float) -> int:
+    """1-based rank a percentile selects among ``count`` in-bounds samples.
+
+    Shared by :meth:`IdleTimeHistogram.windows` and :func:`batched_windows`,
+    so both search for the same targets.
+    """
+    return max(math.ceil(count * percentile / 100.0), 1)
 
 
 class IdleTimeHistogram:
@@ -124,7 +139,7 @@ class IdleTimeHistogram:
         count = self._in_bounds
         if count == 0:
             return [self.range_minutes] * len(percentiles)
-        targets = [max(np.ceil(count * p / 100.0), 1) for p in percentiles]
+        targets = [_rank_target(count, p) for p in percentiles]
         indices = self._bins.cumsum().searchsorted(targets).tolist()
         return [min(index, self.range_minutes) for index in indices]
 
@@ -150,3 +165,41 @@ class IdleTimeHistogram:
     def as_array(self) -> np.ndarray:
         """Copy of the histogram bins (index = idle minutes)."""
         return self._bins.copy()
+
+
+def batched_windows(histograms: Sequence[IdleTimeHistogram]) -> List[Tuple[int, int]]:
+    """``[h.windows() for h in histograms]``, from one ``cumsum`` per batch.
+
+    The histograms must share ``range_minutes``; their percentiles may
+    differ.  Their bins are laid end to end and summed with one ``cumsum``,
+    which is non-decreasing across rows, so one ``searchsorted`` serves every
+    row once a row's rank targets are raised by the samples of the rows
+    before it.  A target never exceeds its row's in-bounds count unless the
+    row is empty; an empty row's target of 1 then lands past the row's last
+    bin, and the clamp to the range gives what
+    :meth:`IdleTimeHistogram.windows` gives.
+    """
+    windows: List[Tuple[int, int]] = []
+    if not histograms:
+        return windows
+    range_minutes = histograms[0].range_minutes
+    width = range_minutes + 1
+    for start in range(0, len(histograms), _BATCH_ROWS):
+        batch = histograms[start : start + _BATCH_ROWS]
+        cumulative = np.concatenate([h._bins for h in batch]).cumsum()
+        targets: List[int] = []
+        below = 0
+        for histogram, end in zip(batch, cumulative[range_minutes::width].tolist()):
+            if histogram.range_minutes != range_minutes:
+                raise ValueError("batched histograms must share range_minutes")
+            count = histogram._in_bounds
+            targets.append(below + _rank_target(count, histogram.head_percentile))
+            targets.append(below + _rank_target(count, histogram.tail_percentile))
+            below = end
+        positions = cumulative.searchsorted(targets).tolist()
+        row_start = 0
+        for head, tail in zip(positions[::2], positions[1::2]):
+            keep_alive = min(tail - row_start, range_minutes)
+            windows.append((min(head - row_start, range_minutes), max(keep_alive, 1)))
+            row_start += width
+    return windows

@@ -14,7 +14,8 @@ function-index space instead of Python dict/set churn.
   — reuse the histogram machinery of
   :class:`~repro.baselines.hybrid_base.HybridHistogramPolicyBase` (offline
   seeding included) but cache each unit's pre-warm/keep-alive windows in
-  arrays, refreshing a unit only when its histogram observes a new idle time.
+  arrays, refreshing once per minute -- one stacked ``cumsum`` -- only the
+  units whose histograms observed a new idle time.
   The per-minute scan over *all* units (the dominant cost of the dict
   version) becomes a handful of vectorized comparisons plus a gather from
   unit space to function space.
@@ -48,6 +49,7 @@ from typing import Dict, List, Mapping, Sequence
 import numpy as np
 
 from repro.baselines.defuse import Dependency, mine_dependencies
+from repro.baselines.histogram import batched_windows
 from repro.baselines.hybrid_base import HybridHistogramPolicyBase
 from repro.simulation.vector_policy import VectorizedPolicy
 from repro.traces.schema import FunctionRecord
@@ -111,13 +113,16 @@ class _IndexedHybridBase(VectorizedPolicy, HybridHistogramPolicyBase):
     Binding compiles the unit structure into arrays:
 
     * ``_function_unit`` maps every function index to a unit index;
-    * per-unit arrays hold the last invocation minute and the *cached*
-      decision inputs (representative flag, pre-warm and keep-alive windows),
+    * per-unit arrays hold the last invocation minute and the *effective*
+      windows: the histogram's pre-warm and keep-alive windows when it is
+      representative, ``(0, uncertain_keep_alive_minutes)`` otherwise,
       refreshed only when a unit's histogram changes.
 
     A minute then costs: a Python loop over the (few) invoked units to
-    observe idle times, one vectorized residency decision over unit space,
-    and one gather from unit space to function space.
+    observe idle times, one :func:`~repro.baselines.histogram.batched_windows`
+    call refreshing the windows of every unit that observed one, one
+    vectorized residency decision over unit space, and one gather from unit
+    space to function space.
     """
 
     def on_bind(self, index: InvocationIndex) -> None:
@@ -142,21 +147,33 @@ class _IndexedHybridBase(VectorizedPolicy, HybridHistogramPolicyBase):
 
         n_units = len(unit_states)
         self._function_unit = function_unit
-        self._unit_states = unit_states
+        self._unit_histograms = [state.histogram for state in unit_states]
         self._unit_last = np.full(n_units, _NEVER, dtype=np.int64)
-        self._unit_representative = np.zeros(n_units, dtype=bool)
         self._unit_prewarm = np.zeros(n_units, dtype=np.int64)
         self._unit_keepalive = np.zeros(n_units, dtype=np.int64)
-        for u in range(n_units):
-            self._refresh_unit(u)
+        self._refresh_units(list(range(n_units)))
 
-    def _refresh_unit(self, u: int) -> None:
-        """Re-derive one unit's cached decision inputs from its histogram."""
-        histogram = self._unit_states[u].histogram
-        representative = histogram.is_representative
-        self._unit_representative[u] = representative
-        if representative:
-            self._unit_prewarm[u], self._unit_keepalive[u] = histogram.windows()
+    def _refresh_units(self, units: List[int]) -> None:
+        """Re-derive the effective windows of ``units`` from their histograms.
+
+        The representative units' windows come from one
+        :func:`~repro.baselines.histogram.batched_windows` call.
+        """
+        histograms = self._unit_histograms
+        prewarm = self._unit_prewarm
+        keep_alive = self._unit_keepalive
+        trusted: List[int] = []
+        for u in units:
+            if histograms[u].is_representative:
+                trusted.append(u)
+            else:
+                prewarm[u] = 0
+                keep_alive[u] = self.uncertain_keep_alive_minutes
+        if trusted:
+            windows = batched_windows([histograms[u] for u in trusted])
+            for u, (head, tail) in zip(trusted, windows):
+                prewarm[u] = head
+                keep_alive[u] = tail
 
     def reset(self) -> None:
         super().reset()
@@ -168,26 +185,28 @@ class _IndexedHybridBase(VectorizedPolicy, HybridHistogramPolicyBase):
         self, minute: int, invoked: np.ndarray, counts: np.ndarray
     ) -> np.ndarray:
         if invoked.size:
-            invoked_units = np.unique(self._function_unit[invoked])
-            for u in invoked_units.tolist():
-                last = self._unit_last[u]
-                if last != _NEVER:
-                    idle = minute - last
-                    if idle > 0:
-                        self._unit_states[u].histogram.observe(int(idle))
-                        self._refresh_unit(u)
-                self._unit_last[u] = minute
+            # The (few) invoked units, deduplicated in first-seen order.
+            units = list(dict.fromkeys(self._function_unit[invoked].tolist()))
+            last = self._unit_last
+            histograms = self._unit_histograms
+            observed = []
+            for u in units:
+                previous = int(last[u])
+                if previous != _NEVER and previous < minute:
+                    histograms[u].observe(minute - previous)
+                    observed.append(u)
+            last[units] = minute
+            if observed:
+                self._refresh_units(observed)
 
         # Vectorized form of ``_unit_resident_next_minute`` over all units.
+        # At least one minute has elapsed since any invocation, so a pre-warm
+        # window of 0 or 1 blocks nothing (the dict twin's ``prewarm > 1``),
+        # and a never-invoked unit's elapsed time (about 2**62) exceeds every
+        # keep-alive window.
         elapsed_next = (minute + 1) - self._unit_last
-        keep_alive_ok = elapsed_next <= self._unit_keepalive
-        prewarm_blocked = (self._unit_prewarm > 1) & (elapsed_next < self._unit_prewarm)
-        resident_units = np.where(
-            self._unit_representative,
-            keep_alive_ok & ~prewarm_blocked,
-            elapsed_next <= self.uncertain_keep_alive_minutes,
-        )
-        resident_units &= self._unit_last != _NEVER
+        resident_units = elapsed_next >= self._unit_prewarm
+        resident_units &= elapsed_next <= self._unit_keepalive
         return resident_units[self._function_unit]
 
 

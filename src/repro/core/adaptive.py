@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from statistics import median
 from typing import Dict, Iterable, List, Set
 
 import numpy as np
@@ -73,11 +72,11 @@ class AdjustingStrategy:
 
     # ------------------------------------------------------------------ #
     def _adjust_predictive_values(self, state: FunctionState) -> bool:
-        # statistics.median over the raw int list: bit-identical to
-        # np.median of the float64 array for these integer waiting times
-        # ((a + b) / 2 vs (a + b) * 0.5 round the same way), without the
-        # per-invocation array construction and reduction machinery.
-        new_median = float(median(state.online_waiting_times))
+        # The running median of the state's sorted view, computed exactly as
+        # statistics.median does (middle element, or (a + b) / 2 for an even
+        # count) and bit-identical to np.median of the float64 array for
+        # these integer waiting times -- without a sort per waiting time.
+        new_median = float(_median_of_sorted(state.sorted_waiting_times))
         drift = abs(new_median - state.offline_wt_median)
         tolerance = max(state.offline_wt_std, 1.0)
         if drift <= tolerance:
@@ -123,6 +122,14 @@ class AdjustingStrategy:
         state.offline_wt_std = float(online.std(ddof=0))
         self.promoted_functions.add(state.function_id)
         return True
+
+
+def _median_of_sorted(values: List[int]) -> float:
+    """Median of an ascending, non-empty list (``statistics.median``'s rule)."""
+    middle = len(values) // 2
+    if len(values) % 2:
+        return values[middle]
+    return (values[middle - 1] + values[middle]) / 2
 
 
 # --------------------------------------------------------------------------- #

@@ -101,6 +101,10 @@ def forward_trigger_rate(
     function trivially achieves a high T-lagged COR for any target, but it is
     only a useful pre-warming signal when a reasonable share of its own
     invocations actually precede the target.
+
+    A fire at minute ``m`` is a hit when the target is invoked anywhere in
+    ``m .. m + max_lag`` (clipped to the series); one integer prefix sum over
+    the target mask counts every fire's window at once, so the rate is exact.
     """
     if max_lag < 0:
         raise ValueError("max_lag must be non-negative")
@@ -108,15 +112,14 @@ def forward_trigger_rate(
     target_mask = _as_bool_mask(target)
     if predictor_mask.shape != target_mask.shape:
         raise ValueError("predictor and target series must have the same length")
-    fires = np.nonzero(predictor_mask)[0]
+    fires = np.flatnonzero(predictor_mask)
     if fires.size == 0:
         return 0.0
     duration = target_mask.shape[0]
-    hits = 0
-    for minute in fires:
-        end = min(duration, int(minute) + max_lag + 1)
-        if target_mask[int(minute) : end].any():
-            hits += 1
+    prefix = np.zeros(duration + 1, dtype=np.int64)
+    np.cumsum(target_mask, out=prefix[1:])
+    ends = np.minimum(fires + (min(max_lag, duration) + 1), duration)
+    hits = int(np.count_nonzero(prefix[ends] > prefix[fires]))
     return hits / fires.size
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import List
 
@@ -28,7 +29,9 @@ class FunctionState:
     last_invocation:
         Minute of the most recent invocation, or ``None``.
     online_waiting_times:
-        Waiting times observed during the online phase (used by adjusting).
+        Waiting times observed during the online phase (used by adjusting),
+        in arrival order.  The list is append-only; :attr:`sorted_waiting_times`
+        keeps a sorted copy of it.
     invocation_count / cold_start_count:
         Online counters (used for reporting per-category statistics).
     offline_wt_median / offline_wt_std:
@@ -57,6 +60,25 @@ class FunctionState:
     #: evaluation that left the state unmodified; lets the strategy skip
     #: re-deriving statistics until a new waiting time actually arrives.
     adjust_checked_wts: int = field(default=-1, repr=False, compare=False)
+    #: Sorted copy of ``online_waiting_times``, kept by ``insort`` in
+    #: :meth:`record_invocation` so the adjusting strategy reads its running
+    #: median without re-sorting; see :attr:`sorted_waiting_times`.
+    _sorted_wts: List[int] = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._sorted_wts = sorted(self.online_waiting_times)
+
+    @property
+    def sorted_waiting_times(self) -> List[int]:
+        """``online_waiting_times`` in ascending order (do not mutate).
+
+        The copy is rebuilt whenever its length differs from the list's, so
+        waiting times appended to ``online_waiting_times`` directly rather than
+        through :meth:`record_invocation` are picked up too.
+        """
+        if len(self._sorted_wts) != len(self.online_waiting_times):
+            self._sorted_wts = sorted(self.online_waiting_times)
+        return self._sorted_wts
 
     # ------------------------------------------------------------------ #
     def record_invocation(self, minute: int, cold: bool) -> int | None:
@@ -70,7 +92,10 @@ class FunctionState:
             gap = minute - self.last_invocation - 1
             if gap > 0:
                 waiting_time = gap
+                in_sync = len(self._sorted_wts) == len(self.online_waiting_times)
                 self.online_waiting_times.append(gap)
+                if in_sync:
+                    insort(self._sorted_wts, gap)
         self.last_invocation = minute
         self.invocation_count += 1
         if cold:

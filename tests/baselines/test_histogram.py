@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import repro.baselines.histogram as histogram_module
 from repro.baselines import IdleTimeHistogram
+from repro.baselines.histogram import batched_windows
 
 
 class TestIdleTimeHistogram:
@@ -182,3 +184,87 @@ class TestRunningCountsMatchReference:
         expected = np.zeros(11, dtype=np.int64)
         expected[3] = 1
         self.assert_matches(histogram, expected, 0)
+
+
+def batched(histograms):
+    windows = batched_windows(histograms)
+    assert all(type(value) is int for pair in windows for value in pair)
+    return windows
+
+
+class TestBatchedWindows:
+    """One stacked ``cumsum`` must give exactly ``[h.windows() for h in hs]``."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_histograms(self, seed):
+        rng = np.random.default_rng(seed)
+        range_minutes = int(rng.choice([1, 2, 10, 240]))
+        histograms = []
+        for _ in range(int(rng.integers(1, 40))):
+            head, tail = sorted(rng.choice([0.0, 1.0, 5.0, 37.5, 50.0, 99.0, 100.0], size=2))
+            histogram = IdleTimeHistogram(
+                range_minutes=range_minutes, head_percentile=head, tail_percentile=tail
+            )
+            size = int(rng.integers(0, 60))
+            histogram.observe_many(rng.integers(0, 2 * range_minutes + 2, size=size))
+            histograms.append(histogram)
+        assert batched(histograms) == [h.windows() for h in histograms]
+
+    def test_chunked_batches(self, monkeypatch):
+        monkeypatch.setattr(histogram_module, "_BATCH_ROWS", 3)
+        rng = np.random.default_rng(7)
+        histograms = []
+        for _ in range(10):
+            histogram = IdleTimeHistogram(range_minutes=30)
+            histogram.observe_many(rng.integers(0, 40, size=int(rng.integers(0, 25))))
+            histograms.append(histogram)
+        assert batched(histograms) == [h.windows() for h in histograms]
+
+    def test_edge_cases(self):
+        def make(idles, range_minutes=10, head=5.0, tail=99.0):
+            histogram = IdleTimeHistogram(
+                range_minutes=range_minutes, head_percentile=head, tail_percentile=tail
+            )
+            histogram.observe_many(idles)
+            return histogram
+
+        histograms = [
+            make([]),  # zero in-bounds samples
+            make([11, 50, 200]),  # all out of bounds
+            make([10, 10, 10]),  # target in the last bin
+            make([0, 0, 0, 0]),  # keep-alive clamped to one minute
+            make([3, 4, 5], head=0.0, tail=0.0),
+            make([3, 4, 5], head=100.0, tail=100.0),
+            make([6] * 7, head=50.0, tail=50.0),  # head == tail
+            make([1, 2, 2, 3, 9], head=37.5, tail=37.5),
+        ]
+        assert batched(histograms) == [h.windows() for h in histograms]
+
+        # range_minutes=1: every rank sits in bin 0, bin 1 or past the last bin.
+        narrow = [
+            make(idles, range_minutes=1, head=head, tail=tail)
+            for idles in ([], [0], [1], [0, 1, 1], [2, 3], [0, 5, 5, 5])
+            for head, tail in ((0.0, 100.0), (5.0, 99.0), (50.0, 50.0))
+        ]
+        assert batched(narrow) == [h.windows() for h in narrow]
+
+    @pytest.mark.parametrize("idles", [[], [4, 9], [4, 4, 4, 0]])
+    def test_target_past_the_last_bin(self, idles):
+        # With no in-bounds sample the rank target (1) exceeds every
+        # cumulative count, so the search lands one past the last bin and is
+        # clamped to the range -- also when other rows do have samples.
+        empty = IdleTimeHistogram(range_minutes=3)
+        empty.observe_many(idles)
+        filled = IdleTimeHistogram(range_minutes=3)
+        filled.observe_many([1, 2, 3])
+        expected = [h.windows() for h in (empty, filled, empty)]
+        assert batched([empty, filled, empty]) == expected
+        if empty.in_bounds_count == 0:
+            assert expected[0] == (3, 3)
+
+    def test_empty_sequence(self):
+        assert batched_windows([]) == []
+
+    def test_mixed_ranges_rejected(self):
+        with pytest.raises(ValueError):
+            batched_windows([IdleTimeHistogram(range_minutes=r) for r in (5, 6)])

@@ -1,5 +1,9 @@
 """Tests for the adaptive strategies (adjusting and online correlation)."""
 
+import numpy as np
+import pytest
+from adjusting_reference import ReferenceAdjustingStrategy
+
 from repro.core import SpesConfig
 from repro.core.adaptive import AdjustingStrategy, OnlineCorrelationTracker
 from repro.core.categories import FunctionCategory
@@ -79,6 +83,103 @@ class TestAdjusting:
         )
         strategy.maybe_update(state)
         assert state.category is FunctionCategory.UNKNOWN
+
+
+class TestAdjustingMatchesReference:
+    """Running-median adjusting against the ``statistics.median`` oracle.
+
+    The dict and indexed SPES twins share :class:`AdjustingStrategy`, so the
+    policy equivalence harness cannot see a drift here; this replays random
+    invocation streams through both strategies instead.
+    """
+
+    @staticmethod
+    def make_state(rng, category, prefill):
+        if category is FunctionCategory.DENSE:
+            low = int(rng.integers(1, 20))
+            predictive = PredictiveValues.from_range(low, low + int(rng.integers(0, 10)))
+        elif category is FunctionCategory.UNKNOWN:
+            predictive = PredictiveValues.none()
+        else:
+            predictive = PredictiveValues.from_discrete(rng.integers(1, 40, size=2).tolist())
+        return FunctionState(
+            function_id="f",
+            category=category,
+            predictive=predictive,
+            offline_wt_median=float(rng.choice([0.0, 3.0, 12.5, 30.0])),
+            offline_wt_std=float(rng.choice([0.0, 0.5, 2.0, 8.0])),
+            online_waiting_times=list(prefill),
+            seen_in_training=category is not FunctionCategory.UNKNOWN,
+        )
+
+    @staticmethod
+    def assert_same(state, reference):
+        assert state.predictive == reference.predictive
+        assert state.offline_wt_median == reference.offline_wt_median
+        assert state.offline_wt_std == reference.offline_wt_std
+        assert state.adjusted == reference.adjusted
+        assert state == reference
+
+    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize(
+        "category",
+        [
+            FunctionCategory.REGULAR,
+            FunctionCategory.APPRO_REGULAR,
+            FunctionCategory.DENSE,
+            FunctionCategory.POSSIBLE,
+            FunctionCategory.UNKNOWN,
+        ],
+    )
+    def test_random_invocation_streams(self, seed, category):
+        rng = np.random.default_rng(seed)
+        config = SpesConfig(adjusting_min_new_wts=int(rng.integers(1, 6)))
+        prefill = rng.integers(1, 50, size=int(rng.integers(0, 4))).tolist()
+        state, reference = (
+            self.make_state(np.random.default_rng(seed + 1000), category, prefill)
+            for _ in range(2)
+        )
+        strategy = AdjustingStrategy(config)
+        oracle = ReferenceAdjustingStrategy(config)
+        self.assert_same(state, reference)
+
+        minute = int(rng.integers(0, 10))
+        scale = int(rng.integers(2, 40))
+        for step in range(120):
+            if step == 60:
+                scale = int(rng.integers(2, 80))  # a drift halfway through
+            kind = rng.random()
+            if kind < 0.15:
+                gap = 0  # same minute: no waiting time
+            elif kind < 0.3:
+                gap = 1  # adjacent minute: no waiting time
+            else:
+                gap = 2 + int(rng.integers(0, scale))
+            minute += gap
+            cold = bool(rng.random() < 0.5)
+            if rng.random() < 0.05:
+                # Waiting times appended behind the sorted view's back.
+                extra = int(rng.integers(1, 60))
+                state.online_waiting_times.append(extra)
+                reference.online_waiting_times.append(extra)
+            assert state.record_invocation(minute, cold) == reference.record_invocation(
+                minute, cold
+            )
+            assert strategy.maybe_update(state) == oracle.maybe_update(reference)
+            self.assert_same(state, reference)
+            assert state.sorted_waiting_times == sorted(state.online_waiting_times)
+        assert strategy.adjusted_functions == oracle.adjusted_functions
+        assert strategy.promoted_functions == oracle.promoted_functions
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 7, 8])
+    def test_even_and_odd_counts(self, count):
+        config = SpesConfig(adjusting_min_new_wts=1)
+        wts = [50 + 3 * value for value in range(count)][::-1]
+        state = regular_state(median=10, std=1, wts=wts)
+        reference = regular_state(median=10, std=1, wts=wts)
+        assert AdjustingStrategy(config).maybe_update(state)
+        assert ReferenceAdjustingStrategy(config).maybe_update(reference)
+        self.assert_same(state, reference)
 
 
 class TestOnlineCorrelation:
