@@ -57,7 +57,7 @@ from repro.simulation import (
     Simulator,
 )
 from repro.simulation.engine import ShardFallbackWarning
-from repro.simulation.policy_base import AlwaysWarmPolicy, NoKeepAlivePolicy
+from repro.simulation.vector_policy import AlwaysWarmPolicy, NoKeepAlivePolicy
 from repro.simulation.sharding import shard_assignment, shard_fallback_reason
 from repro.simulation.spec import (
     ENGINE_VERSION,

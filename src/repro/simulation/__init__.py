@@ -21,8 +21,13 @@ Provisioning policies implement :class:`ProvisioningPolicy` and are driven by
 usage, and effective memory consumption exactly as defined in the paper.
 """
 
-from repro.simulation.policy_base import AlwaysWarmPolicy, NoKeepAlivePolicy, ProvisioningPolicy
-from repro.simulation.vector_policy import DictPolicyAdapter, VectorizedPolicy
+from repro.simulation.policy_base import ProvisioningPolicy
+from repro.simulation.vector_policy import (
+    AlwaysWarmPolicy,
+    DictPolicyAdapter,
+    NoKeepAlivePolicy,
+    VectorizedPolicy,
+)
 from repro.simulation.cluster import ClusterArbiter, ClusterModel, NodeArbiter
 from repro.simulation.placement import (
     PLACEMENT_REGISTRY,

@@ -102,7 +102,7 @@ from repro.simulation.results import (
     SimulationResult,
 )
 from repro.simulation.vector_policy import DictPolicyAdapter, VectorizedPolicy
-from repro.traces.trace import Trace
+from repro.traces.trace import InvocationIndex, Trace
 
 # The engine catalog constants (ENGINE_IMPLEMENTATIONS, MEMORY_MODES,
 # EVENT_ENGINES, ENGINE_VERSION) historically lived here and are imported
@@ -296,9 +296,7 @@ class Simulator:
             policy.prepare(trace.records(), self.training_trace)
 
         # Index-native policies are bound to the simulation trace's function
-        # space before any stepping: the warm-up replay reaches them through
-        # the dict bridge, which needs the index.  (Training and simulation
-        # windows are slices of one trace, so they share one id ordering.)
+        # space before any stepping, the warm-up replay included.
         if isinstance(policy, VectorizedPolicy):
             policy.bind_index(trace.invocation_index())
 
@@ -718,16 +716,57 @@ class Simulator:
         The replayed minutes are numbered negatively (``-warmup .. -1``) so
         the simulation window starts at minute 0, and no metrics are charged.
         Returns the resident set the policy declares for minute 0.
+
+        The replay reads the training trace's cached tail index (only the
+        replayed minutes, shared by every run over the same split).
+        Index-native policies are stepped on index arrays remapped into
+        their bound simulation index, and only the final mask becomes an id
+        set; dict policies receive the tail's read-only per-minute mappings.
         """
         if self.training_trace is None or self.warmup_minutes <= 0:
             return set()
-        training = self.training_trace
-        start = max(0, training.duration_minutes - self.warmup_minutes)
-        offset = training.duration_minutes
-        resident: Set[str] = set()
-        for minute, invocations in training.iter_minutes(start=start):
-            resident = set(policy.on_minute(minute - offset, invocations))
-        return resident
+        offset = self.training_trace.duration_minutes
+        start = max(0, offset - self.warmup_minutes)
+        tail = self.training_trace.invocation_index(start)
+        first = start - offset
+        if not isinstance(policy, VectorizedPolicy):
+            resident: Set[str] = set()
+            for minute, invocations in enumerate(tail.minute_invocations(), first):
+                resident = set(policy.on_minute(minute, invocations))
+            return resident
+        indptr, indices, counts = _remap_index(tail, policy.index)
+        bounds = indptr.tolist()
+        mask = None
+        for minute in range(tail.duration_minutes):
+            lo, hi = bounds[minute], bounds[minute + 1]
+            mask = policy.on_minute_indexed(
+                first + minute, indices[lo:hi], counts[lo:hi]
+            )
+        return set() if mask is None else policy.resident_ids(mask)
+
+
+def _remap_index(
+    source: InvocationIndex, target: InvocationIndex
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``source``'s CSR arrays with positions translated into ``target``.
+
+    The identity when both indexes share one function ordering (training
+    and simulation windows sliced from one trace).  Otherwise ids unknown
+    to ``target`` are dropped, keeping each minute's remaining order.
+    """
+    if source.function_ids == target.function_ids:
+        return source.indptr, source.indices, source.counts
+    index_of = target.index_of
+    remap = np.fromiter(
+        (index_of.get(fid, -1) for fid in source.function_ids),
+        dtype=np.int64,
+        count=source.n_functions,
+    )
+    positions = remap[source.indices]
+    known = positions >= 0
+    kept = np.zeros(known.size + 1, dtype=np.int64)
+    np.cumsum(known, out=kept[1:])
+    return kept[source.indptr], positions[known], source.counts[known]
 
 
 def simulate_policy(

@@ -10,7 +10,7 @@ for every resident-but-idle instance-minute.
 from __future__ import annotations
 
 import abc
-from typing import Iterable, Mapping, Sequence, Set
+from typing import Mapping, Sequence, Set
 
 from repro.traces.schema import FunctionRecord
 from repro.traces.trace import Trace
@@ -111,55 +111,3 @@ class ProvisioningPolicy(abc.ABC):
 
     def reset(self) -> None:
         """Clear any per-run state.  Subclasses with online state override this."""
-
-
-class NoKeepAlivePolicy(ProvisioningPolicy):
-    """Degenerate policy that never keeps anything warm (every invocation is cold).
-
-    Useful as a lower bound for memory usage and an upper bound for cold
-    starts in tests and sanity checks.
-    """
-
-    name = "no-keepalive"
-    shard_safe = True
-
-    def on_minute(self, minute: int, invocations: Mapping[str, int]) -> Set[str]:
-        return set()
-
-
-class AlwaysWarmPolicy(ProvisioningPolicy):
-    """Degenerate policy that keeps every known function warm at all times.
-
-    Useful as an upper bound for memory usage and a lower bound for cold
-    starts (only the very first invocation of a function never seen before
-    can be cold).
-    """
-
-    name = "always-warm"
-
-    def __init__(self, function_ids: Iterable[str] | None = None) -> None:
-        self._explicit_ids = set(function_ids) if function_ids is not None else None
-
-    @property
-    def shard_safe(self) -> bool:  # type: ignore[override]
-        # Prepare-derived residency restricts cleanly to any function subset;
-        # an explicit id set does not (ids outside a shard's trace would be
-        # double-charged as extra residents by every shard).
-        return self._explicit_ids is None
-
-    def prepare(
-        self,
-        functions: Sequence[FunctionRecord],
-        training: Trace | None = None,
-    ) -> None:
-        super().prepare(functions, training)
-        if self._explicit_ids is None:
-            self._resident = {record.function_id for record in functions}
-        else:
-            self._resident = set(self._explicit_ids)
-
-    def on_minute(self, minute: int, invocations: Mapping[str, int]) -> Set[str]:
-        resident = set(getattr(self, "_resident", set()))
-        resident.update(invocations)
-        self._resident = resident
-        return set(resident)

@@ -12,36 +12,45 @@ Two classes define the boundary:
     Base class for index-native policies.  The simulator binds the policy to
     the trace's invocation index once per run (:meth:`bind_index`), then calls
     :meth:`on_minute_indexed` with the invoked function indices of each
-    minute; the policy answers with a boolean residency mask over the whole
-    function-index space.  A default :meth:`on_minute` bridge translates the
-    dict API onto the indexed one, so the same policy instance also runs under
-    the ``reference`` engine and through the warm-up replay — which is exactly
-    what the equivalence tests exploit.
+    minute — the warm-up replay included; the policy answers with a boolean
+    residency mask over the whole function-index space.  A default
+    :meth:`on_minute` bridge translates the dict API onto the indexed one, so
+    the same policy instance also runs under the ``reference`` engine —
+    which is exactly what the equivalence tests exploit.
 
 :class:`DictPolicyAdapter`
     Wraps an unchanged dict-based :class:`ProvisioningPolicy` behind the
     indexed contract.  The adapter feeds the wrapped policy the prebuilt
     read-only per-minute mappings and converts the returned resident *set*
     into a mask by diffing consecutive declarations (two C-level set
-    operations), so existing baselines keep their exact semantics — including
-    declaring ids the trace has never heard of (tracked as
-    :attr:`extra_resident` and charged by the engine exactly as before).
+    operations), so existing third-party policies keep their exact
+    semantics — including declaring ids the trace has never heard of
+    (tracked as :attr:`extra_resident` and charged by the engine exactly as
+    before).
 
 The engine (:mod:`repro.simulation.engine`) drives **only** this contract:
 dict policies are wrapped automatically, so one loop serves both worlds.
+The two degenerate bounds, :class:`NoKeepAlivePolicy` and
+:class:`AlwaysWarmPolicy`, are index-native too.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Mapping, Set
+from typing import Iterable, Mapping, Sequence, Set
 
 import numpy as np
 
 from repro.simulation.policy_base import ProvisioningPolicy
-from repro.traces.trace import InvocationIndex
+from repro.traces.schema import FunctionRecord
+from repro.traces.trace import InvocationIndex, Trace
 
-__all__ = ["VectorizedPolicy", "DictPolicyAdapter"]
+__all__ = [
+    "VectorizedPolicy",
+    "DictPolicyAdapter",
+    "NoKeepAlivePolicy",
+    "AlwaysWarmPolicy",
+]
 
 
 class VectorizedPolicy(ProvisioningPolicy):
@@ -61,15 +70,16 @@ class VectorizedPolicy(ProvisioningPolicy):
     The inherited dict API keeps working: :meth:`on_minute` converts a
     ``{function_id: count}`` mapping into index arrays, delegates to
     :meth:`on_minute_indexed` and converts the mask back into an id set.
-    That bridge is what the ``reference`` engine and the warm-up replay use,
-    so a single policy instance behaves identically under both engines.
+    That bridge is what the ``reference`` engine uses, so a single policy
+    instance behaves identically under every engine.
     """
 
     _index: InvocationIndex | None = None
 
-    #: Ids declared resident that are unknown to the bound index.  Index-native
-    #: policies cannot produce such ids, so this is empty; the
-    #: :class:`DictPolicyAdapter` overrides it.
+    #: Ids declared resident that are unknown to the bound index, charged by
+    #: the engine on top of the mask.  Most index-native policies cannot
+    #: produce such ids, so this is empty; :class:`AlwaysWarmPolicy` (explicit
+    #: ids) and the :class:`DictPolicyAdapter` override it.
     extra_resident: frozenset = frozenset()
 
     # ------------------------------------------------------------------ #
@@ -136,14 +146,16 @@ class VectorizedPolicy(ProvisioningPolicy):
         """
 
     # ------------------------------------------------------------------ #
-    # Dict-API bridge (reference engine, warm-up replay)
+    # Dict-API bridge (reference engine)
     # ------------------------------------------------------------------ #
     def on_minute(self, minute: int, invocations: Mapping[str, int]) -> Set[str]:
         """Adapt the dict API onto :meth:`on_minute_indexed`.
 
         Ids unknown to the bound index are ignored (they cannot be expressed
         in the index space; driving a policy with a foreign trace is a caller
-        error that the equivalence tests would surface immediately).
+        error that the equivalence tests would surface immediately).  The
+        returned set is the mask's ids plus :attr:`extra_resident`, so the
+        ``reference`` engine charges exactly what the mask engines charge.
         """
         index_of = self.index.index_of
         positions = [index_of[f] for f in invocations if f in index_of]
@@ -152,9 +164,14 @@ class VectorizedPolicy(ProvisioningPolicy):
             [count for f, count in invocations.items() if f in index_of],
             dtype=np.int64,
         )
-        mask = self.on_minute_indexed(minute, invoked, counts)
+        return self.resident_ids(self.on_minute_indexed(minute, invoked, counts))
+
+    def resident_ids(self, mask: np.ndarray) -> Set[str]:
+        """The id set a residency mask declares, :attr:`extra_resident` included."""
         ids = self._function_ids
-        return {ids[position] for position in np.flatnonzero(mask)}
+        resident = {ids[position] for position in np.flatnonzero(mask)}
+        resident.update(self.extra_resident)
+        return resident
 
 
 class DictPolicyAdapter(VectorizedPolicy):
@@ -166,6 +183,9 @@ class DictPolicyAdapter(VectorizedPolicy):
     mask, and tracks ids that are unknown to the trace index (possible when a
     policy was prepared against different metadata) in :attr:`extra_resident`
     so the engine can charge them exactly like the reference implementation.
+
+    The shipped policies are all index-native, so the adapter serves
+    third-party dict policies only.
 
     Parameters
     ----------
@@ -289,4 +309,70 @@ class DictPolicyAdapter(VectorizedPolicy):
                         else:
                             mask[position] = True
             self._declared = set(next_resident)
+        return self._mask
+
+
+class NoKeepAlivePolicy(VectorizedPolicy):
+    """Degenerate policy that never keeps anything warm (every invocation is cold).
+
+    Useful as a lower bound for memory usage and an upper bound for cold
+    starts in tests and sanity checks.
+    """
+
+    name = "no-keepalive"
+    shard_safe = True
+
+    def on_bind(self, index: InvocationIndex) -> None:
+        self._mask = np.zeros(index.n_functions, dtype=bool)
+
+    def on_minute_indexed(
+        self, minute: int, invoked: np.ndarray, counts: np.ndarray
+    ) -> np.ndarray:
+        return self._mask
+
+
+class AlwaysWarmPolicy(VectorizedPolicy):
+    """Degenerate policy that keeps every known function warm at all times.
+
+    Useful as an upper bound for memory usage and a lower bound for cold
+    starts (only the very first invocation of a function never seen before
+    can be cold).  Resident ids outside the bound index (explicit ids, or
+    metadata of functions the trace does not carry) are exposed through
+    :attr:`extra_resident` and charged by the engine.
+    """
+
+    name = "always-warm"
+
+    def __init__(self, function_ids: Iterable[str] | None = None) -> None:
+        self._explicit_ids = set(function_ids) if function_ids is not None else None
+
+    @property
+    def shard_safe(self) -> bool:  # type: ignore[override]
+        # Prepare-derived residency restricts cleanly to any function subset;
+        # an explicit id set does not (ids outside a shard's trace would be
+        # double-charged as extra residents by every shard).
+        return self._explicit_ids is None
+
+    def prepare(
+        self,
+        functions: Sequence[FunctionRecord],
+        training: Trace | None = None,
+    ) -> None:
+        super().prepare(functions, training)
+        if self._explicit_ids is None:
+            self._resident = {record.function_id for record in functions}
+        else:
+            self._resident = set(self._explicit_ids)
+
+    def on_bind(self, index: InvocationIndex) -> None:
+        resident = getattr(self, "_resident", set())
+        index_of = index.index_of
+        self._mask = np.zeros(index.n_functions, dtype=bool)
+        self._mask[[index_of[f] for f in resident if f in index_of]] = True
+        self.extra_resident = frozenset(f for f in resident if f not in index_of)
+
+    def on_minute_indexed(
+        self, minute: int, invoked: np.ndarray, counts: np.ndarray
+    ) -> np.ndarray:
+        self._mask[invoked] = True
         return self._mask

@@ -86,6 +86,25 @@ class InvocationIndex:
         return cached
 
 
+def _csr_index(
+    function_ids: tuple[str, ...],
+    minutes: np.ndarray,
+    findex: np.ndarray,
+    counts: np.ndarray,
+    duration: int,
+) -> InvocationIndex:
+    """Assemble an :class:`InvocationIndex` from minute-sorted entries."""
+    indptr = np.zeros(duration + 1, dtype=np.int64)
+    np.cumsum(np.bincount(minutes, minlength=duration), out=indptr[1:])
+    return InvocationIndex(
+        function_ids=function_ids,
+        index_of={fid: i for i, fid in enumerate(function_ids)},
+        indptr=indptr,
+        indices=findex,
+        counts=counts,
+    )
+
+
 class Trace:
     """Per-minute invocation counts for a set of serverless functions.
 
@@ -225,52 +244,65 @@ class Trace:
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
 
-    def invocation_index(self) -> InvocationIndex:
-        """The cached :class:`InvocationIndex` of this trace.
+    def invocation_index(self, start: int = 0) -> InvocationIndex:
+        """The cached :class:`InvocationIndex` of this trace, or of its tail.
 
         Built once per trace and shared across simulation runs, so sweeping
         many policies over the same window pays the trace scan only once.
+        With ``start > 0`` the index covers only the minutes
+        ``[start, duration)``, renumbered from 0: the warm-up replay reads
+        the last day of a 12-day training window without transposing the
+        other eleven.  Tail indexes are cached per ``start``.
         """
-        if self._invocation_index is None:
-            function_ids = tuple(self._counts)
-            chunks_minutes: list[np.ndarray] = []
-            chunks_findex: list[np.ndarray] = []
-            chunks_counts: list[np.ndarray] = []
-            for position, series in enumerate(self._counts.values()):
-                nonzero = np.flatnonzero(series)
-                if nonzero.size == 0:
-                    continue
-                chunks_minutes.append(nonzero)
-                chunks_findex.append(np.full(nonzero.size, position, dtype=np.int64))
-                chunks_counts.append(series[nonzero])
-            if chunks_minutes:
-                minutes = np.concatenate(chunks_minutes)
-                findex = np.concatenate(chunks_findex)
-                counts = np.concatenate(chunks_counts)
-                # Stable sort keeps function insertion order within a minute,
-                # matching the dict order produced by iter_minutes().
-                order = np.argsort(minutes, kind="stable")
-                minutes, findex, counts = minutes[order], findex[order], counts[order]
-            else:
-                minutes = np.zeros(0, dtype=np.int64)
-                findex = np.zeros(0, dtype=np.int64)
-                counts = np.zeros(0, dtype=np.int64)
-            indptr = np.zeros(self._duration + 1, dtype=np.int64)
-            np.cumsum(np.bincount(minutes, minlength=self._duration), out=indptr[1:])
-            self._invocation_index = InvocationIndex(
-                function_ids=function_ids,
-                index_of={fid: i for i, fid in enumerate(function_ids)},
-                indptr=indptr,
-                indices=findex,
-                counts=counts,
-            )
-        return self._invocation_index
+        if start == 0:
+            if self._invocation_index is None:
+                self._invocation_index = self._minute_index(0)
+            return self._invocation_index
+        if not 0 < start <= self._duration:
+            raise IndexError(f"start {start} outside trace of {self._duration} minutes")
+        tails = getattr(self, "_tail_indexes", None)
+        if tails is None:
+            tails = self._tail_indexes = {}
+        index = tails.get(start)
+        if index is None:
+            index = tails[start] = self._minute_index(start)
+        return index
+
+    def _minute_index(self, start: int) -> InvocationIndex:
+        """Build the minute-major index over the minutes ``[start, duration)``."""
+        function_ids = tuple(self._counts)
+        chunks_minutes: list[np.ndarray] = []
+        chunks_findex: list[np.ndarray] = []
+        chunks_counts: list[np.ndarray] = []
+        for position, series in enumerate(self._counts.values()):
+            window = series[start:]
+            nonzero = np.flatnonzero(window)
+            if nonzero.size == 0:
+                continue
+            chunks_minutes.append(nonzero)
+            chunks_findex.append(np.full(nonzero.size, position, dtype=np.int64))
+            chunks_counts.append(window[nonzero])
+        if chunks_minutes:
+            minutes = np.concatenate(chunks_minutes)
+            findex = np.concatenate(chunks_findex)
+            counts = np.concatenate(chunks_counts)
+            # Stable sort keeps function insertion order within a minute,
+            # matching the dict order produced by iter_minutes().
+            order = np.argsort(minutes, kind="stable")
+            minutes, findex, counts = minutes[order], findex[order], counts[order]
+        else:
+            minutes = np.zeros(0, dtype=np.int64)
+            findex = np.zeros(0, dtype=np.int64)
+            counts = np.zeros(0, dtype=np.int64)
+        return _csr_index(function_ids, minutes, findex, counts, self._duration - start)
 
     def __getstate__(self) -> Dict[str, object]:
-        # The invocation index is cheap to rebuild and can triple the pickle
-        # size; drop it so traces shipped to worker processes stay lean.
+        # The invocation indexes are cheap to rebuild and can triple the
+        # pickle size; drop them so traces shipped to worker processes stay
+        # lean.
         state = dict(self.__dict__)
         state["_invocation_index"] = None
+        state.pop("_tail_indexes", None)
         return state
 
     # ------------------------------------------------------------------ #
@@ -587,32 +619,28 @@ class SparseTrace(Trace):
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
 
-    def invocation_index(self) -> InvocationIndex:
+    def _minute_index(self, start: int) -> InvocationIndex:
         """Transpose the function-major CSR into the minute-major index.
 
         The stable sort by minute preserves the function-major input order
         within each minute — i.e. function insertion order, exactly the
         order the dense build produces — so engines see identical per-minute
-        function sequences whichever container loaded the trace.
+        function sequences whichever container loaded the trace.  A tail
+        index (``start > 0``) sorts only the entries inside the tail.
         """
-        if self._invocation_index is None:
-            function_ids = tuple(self._records)
-            findex = np.repeat(
-                np.arange(len(function_ids), dtype=np.int64),
-                np.diff(self._fn_indptr),
-            )
-            order = np.argsort(self._fn_minutes, kind="stable")
-            minutes = self._fn_minutes[order]
-            indptr = np.zeros(self._duration + 1, dtype=np.int64)
-            np.cumsum(np.bincount(minutes, minlength=self._duration), out=indptr[1:])
-            self._invocation_index = InvocationIndex(
-                function_ids=function_ids,
-                index_of={fid: i for i, fid in enumerate(function_ids)},
-                indptr=indptr,
-                indices=findex[order],
-                counts=self._fn_counts[order],
-            )
-        return self._invocation_index
+        function_ids = tuple(self._records)
+        findex = np.repeat(
+            np.arange(len(function_ids), dtype=np.int64), np.diff(self._fn_indptr)
+        )
+        minutes, counts = self._fn_minutes, self._fn_counts
+        if start:
+            keep = minutes >= start
+            minutes, findex, counts = minutes[keep] - start, findex[keep], counts[keep]
+        order = np.argsort(minutes, kind="stable")
+        return _csr_index(
+            function_ids, minutes[order], findex[order], counts[order],
+            self._duration - start,
+        )
 
     def invocations_at(self, minute: int) -> Dict[str, int]:
         if not 0 <= minute < self._duration:

@@ -113,7 +113,7 @@ class TestDictPolicyAdapter:
         )
         assert vectorized.per_function["ghost"].wasted_memory_time > 0
 
-    def test_warmup_reaches_indexed_policies_through_the_bridge(self):
+    def test_warmup_reaches_indexed_policies(self):
         training = small_trace({"f": [0, 0, 0, 0, 1]}, name="train")
         simulation = small_trace({"f": [1, 0, 0]}, name="sim")
         simulator = Simulator(simulation, training, warmup_minutes=5)
