@@ -25,7 +25,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.baselines import IndexedFixedKeepAlivePolicy
+from repro.baselines import FixedKeepAlivePolicy
 from repro.simulation import Simulator
 from repro.traces import (
     Azure2019Config,
@@ -116,10 +116,10 @@ def test_azure2019_ingestion_throughput(bench_root, output_dir):
     # Full-dataset-scale engine row: one sparse day at 83k functions driven
     # through the vectorized engine via the CSR-transposed invocation index.
     scale_trace = _synthetic_sparse_day(ENGINE_FUNCTIONS)
-    Simulator(scale_trace, warmup_minutes=0).run(IndexedFixedKeepAlivePolicy(10))
+    Simulator(scale_trace, warmup_minutes=0).run(FixedKeepAlivePolicy(10))
     started = time.perf_counter()
     result = Simulator(scale_trace, warmup_minutes=0).run(
-        IndexedFixedKeepAlivePolicy(10)
+        FixedKeepAlivePolicy(10)
     )
     engine_seconds = time.perf_counter() - started
     assert result.total_invocations > 0

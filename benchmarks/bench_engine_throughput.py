@@ -19,20 +19,22 @@ depends on the machine's core count).
 from __future__ import annotations
 
 import json
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.experiments import ExperimentConfig, ExperimentSuite
 from repro.simulation import AlwaysWarmPolicy, NoKeepAlivePolicy, Simulator
-from repro.baselines import (
-    FixedKeepAlivePolicy,
-    HybridFunctionPolicy,
-    IndexedFixedKeepAlivePolicy,
-    IndexedHybridFunctionPolicy,
-)
+from repro.baselines import FixedKeepAlivePolicy, HybridFunctionPolicy
 
 from .conftest import save_and_print
+
+# The dict-stepping oracles live with the test suite; import them from there
+# explicitly, whatever the import mode or collection order.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from dict_policies import DictFixedKeepAlivePolicy, DictHybridFunctionPolicy  # noqa: E402
 
 #: The default workload of the paper's evaluation (ISSUE/acceptance shape).
 THROUGHPUT_CONFIG = ExperimentConfig(
@@ -93,13 +95,13 @@ def test_engine_throughput_vectorized_vs_reference(throughput_split, output_dir)
     assert speedup >= 3.0, f"vectorized engine only {speedup:.2f}x over reference"
 
 
-#: (bench key, dict-API factory, index-native twin factory).  The pairs are
-#: decision-identical (fingerprint-equal, see
+#: (bench key, dict-stepping oracle factory, shipped index-native factory).
+#: The pairs are decision-identical (fingerprint-equal, see
 #: tests/simulation/test_equivalence_random.py), so the ratio isolates the
 #: cost of the policy-stepping contract itself.
 INDEXED_POLICY_PAIRS = (
-    ("fixed-10min", lambda: FixedKeepAlivePolicy(10), lambda: IndexedFixedKeepAlivePolicy(10)),
-    ("hybrid-function", HybridFunctionPolicy, IndexedHybridFunctionPolicy),
+    ("fixed-10min", lambda: DictFixedKeepAlivePolicy(10), lambda: FixedKeepAlivePolicy(10)),
+    ("hybrid-function", DictHybridFunctionPolicy, HybridFunctionPolicy),
 )
 
 
@@ -115,7 +117,7 @@ def _end_to_end_seconds(split, factory, repeats: int) -> float:
 
 
 def test_indexed_policy_speedup(throughput_split, output_dir):
-    """Indexed policy ports vs their dict twins, end to end (PR 2 criterion).
+    """Shipped index-native policies vs their dict oracles, end to end.
 
     The acceptance bar is a >=1.5x end-to-end speedup for at least one ported
     policy on the default workload.  The measured numbers are also published
@@ -431,7 +433,7 @@ def test_placement_overhead(throughput_split, output_dir):
                 split.simulation, warmup_minutes=0, cluster=cluster
             )
             started = time.perf_counter()
-            simulator.run(IndexedFixedKeepAlivePolicy(10))
+            simulator.run(FixedKeepAlivePolicy(10))
             best = min(best, time.perf_counter() - started)
         return best
 
@@ -524,7 +526,7 @@ def test_sharded_scale_throughput(output_dir):
     single-process vectorized engine and once sharded across the
     ``ParallelRunner`` process pool, asserting the merged result is
     fingerprint-identical.  The measured policy is the shard-safe
-    ``hybrid-function-indexed`` port: its per-function histogram training is
+    ``hybrid-function`` port: its per-function histogram training is
     the kind of work sharding exists to spread — with a trivial policy the
     trace-shipping cost of the pool dominates and the comparison measures
     pickling, not simulation.  Also records the first million-function
@@ -561,7 +563,7 @@ def test_sharded_scale_throughput(output_dir):
     started = time.perf_counter()
     single_result = Simulator(
         split.simulation, training_trace=split.training, warmup_minutes=0
-    ).run(IndexedHybridFunctionPolicy())
+    ).run(HybridFunctionPolicy())
     single_seconds = time.perf_counter() - started
 
     # Sharded sweep: one cell split into per-shard pool tasks; the measured
@@ -570,7 +572,7 @@ def test_sharded_scale_throughput(output_dir):
     runner = ParallelRunner(
         {"scale": split}, workers=shards, warmup_minutes=0, shards=shards
     )
-    spec = PolicySpec.of("hybrid-function-indexed")
+    spec = PolicySpec.of("hybrid-function")
     cell = runner.cell("sharded-83k", spec, "scale")
     started = time.perf_counter()
     sharded_result = runner.run_cells([cell])["sharded-83k"]
@@ -587,7 +589,7 @@ def test_sharded_scale_throughput(output_dir):
     million_trace = _synthetic_sparse_day(million_functions, days=1)
     started = time.perf_counter()
     million_result = Simulator(million_trace, warmup_minutes=0).run(
-        IndexedFixedKeepAlivePolicy(10)
+        FixedKeepAlivePolicy(10)
     )
     million_seconds = time.perf_counter() - started
     assert million_result.total_invocations > 0
@@ -598,7 +600,7 @@ def test_sharded_scale_throughput(output_dir):
             "duration_days": SHARD_SCALE_DAYS,
             "training_days": 12.0,
             "simulation_minutes": minutes,
-            "policy": "hybrid-function-indexed",
+            "policy": "hybrid-function",
             "million_row_functions": million_functions,
         },
         "hardware": {"cpu_count": cpus, "workers": shards, "shards": shards},
@@ -622,7 +624,7 @@ def test_sharded_scale_throughput(output_dir):
     }
     lines = [
         f"Sharded scale - {SHARD_SCALE_FUNCTIONS:,} functions x "
-        f"{SHARD_SCALE_DAYS} days (12 + 2 split), hybrid-function-indexed, "
+        f"{SHARD_SCALE_DAYS} days (12 + 2 split), hybrid-function, "
         f"{shards} shards on {cpus} CPU(s)",
         f"single-process vectorized: {single_seconds:8.2f}s "
         f"({minutes / single_seconds:>10,.1f} sim-min/s)",

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import IndexedSpesPolicy
+from repro.core import SpesPolicy
 from repro.experiments import ExperimentConfig, ExperimentSuite
 from repro.simulation import simulate_policy
 from repro.traces import AzureTraceGenerator
@@ -59,7 +59,7 @@ def all_results(suite):
 @pytest.fixture(scope="session")
 def spes_policy(split):
     """A SPES policy prepared by a full run over the benchmark workload."""
-    policy = IndexedSpesPolicy(BENCHMARK_CONFIG.spes_config)
+    policy = SpesPolicy(BENCHMARK_CONFIG.spes_config)
     simulate_policy(
         policy, split.simulation, split.training, warmup_minutes=BENCHMARK_CONFIG.warmup_minutes
     )

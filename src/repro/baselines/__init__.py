@@ -15,28 +15,20 @@
   function's observed cold-start latency; the first consumer of the
   ``event-feedback`` engine's rolling latency window.
 
-Every dict-based policy above also ships an index-native ``Indexed*`` twin
-(fingerprint-identical decisions, vectorized stepping).  The policy
-registry's names build the ``Indexed*`` twins; the dict classes are the
-equivalence tests' oracle.
+Every policy above is a
+:class:`~repro.simulation.vector_policy.VectorizedPolicy`: it decides over the
+trace's function-index space and answers with a residency mask, and the
+policy registry (:data:`~repro.experiments.parallel.POLICY_REGISTRY`) builds
+each one under its bare name.
 """
 
 from repro.baselines.fixed_keepalive import FixedKeepAlivePolicy
 from repro.baselines.histogram import IdleTimeHistogram
-from repro.baselines.hybrid_function import HybridFunctionPolicy
-from repro.baselines.hybrid_application import HybridApplicationPolicy
+from repro.baselines.hybrid import HybridApplicationPolicy, HybridFunctionPolicy
 from repro.baselines.defuse import DefusePolicy
 from repro.baselines.faascache import FaasCachePolicy
 from repro.baselines.lcs import LcsPolicy
 from repro.baselines.latency_aware import LatencyAwareKeepAlivePolicy
-from repro.baselines.vectorized import (
-    IndexedDefusePolicy,
-    IndexedFaasCachePolicy,
-    IndexedFixedKeepAlivePolicy,
-    IndexedHybridApplicationPolicy,
-    IndexedHybridFunctionPolicy,
-    IndexedLcsPolicy,
-)
 
 __all__ = [
     "FixedKeepAlivePolicy",
@@ -47,10 +39,4 @@ __all__ = [
     "FaasCachePolicy",
     "LcsPolicy",
     "LatencyAwareKeepAlivePolicy",
-    "IndexedFixedKeepAlivePolicy",
-    "IndexedHybridFunctionPolicy",
-    "IndexedHybridApplicationPolicy",
-    "IndexedFaasCachePolicy",
-    "IndexedDefusePolicy",
-    "IndexedLcsPolicy",
 ]

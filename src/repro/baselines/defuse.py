@@ -21,13 +21,14 @@ invoked; strong dependencies use a tighter pre-warm window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Set
+from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 
-from repro.baselines.hybrid_function import HybridFunctionPolicy
+from repro.baselines.hybrid import HybridFunctionPolicy
+from repro.simulation.vector_policy import NEVER_MINUTE
 from repro.traces.schema import FunctionRecord
-from repro.traces.trace import Trace
+from repro.traces.trace import InvocationIndex, Trace
 
 
 @dataclass(frozen=True)
@@ -131,6 +132,15 @@ def mine_dependencies(
 class DefusePolicy(HybridFunctionPolicy):
     """Dependency-guided scheduling on top of a per-function histogram keep-alive.
 
+    The offline phase seeds the histograms through the hybrid base, then runs
+    :func:`mine_dependencies` over app-scoped candidate groups.  Binding
+    compiles the mined set into flat edge arrays (predecessor position,
+    successor position, pre-warm lag) ordered by predecessor; a minute then
+    costs the hybrid base's vectorized decision plus one
+    ``np.maximum.at`` scatter pushing ``minute + lag`` horizons to the
+    invoked predecessors' successors and one ``horizon > minute`` comparison
+    OR-ed into the residency mask: extend, expire, union.
+
     Not ``shard_safe`` despite the per-function histogram base: mined
     dependencies pre-warm *other* functions, which a partition can separate
     from their predecessors.
@@ -176,8 +186,7 @@ class DefusePolicy(HybridFunctionPolicy):
         self.strong_confidence = strong_confidence
         self.weak_confidence = weak_confidence
         self.min_support = min_support
-        self._successors: Dict[str, List[Dependency]] = {}
-        self._prewarm_until: Dict[str, int] = {}
+        self._mined: List[Dependency] = []
 
     # ------------------------------------------------------------------ #
     def prepare(
@@ -186,14 +195,13 @@ class DefusePolicy(HybridFunctionPolicy):
         training: Trace | None = None,
     ) -> None:
         super().prepare(functions, training)
-        self._successors = {}
-        self._prewarm_until = {}
+        self._mined = []
         if training is None:
             return
         groups: Dict[str, List[str]] = {}
         for record in functions:
             groups.setdefault(record.app_id, []).append(record.function_id)
-        dependencies = mine_dependencies(
+        self._mined = mine_dependencies(
             training,
             groups,
             strong_lag=self.strong_lag,
@@ -202,33 +210,72 @@ class DefusePolicy(HybridFunctionPolicy):
             weak_confidence=self.weak_confidence,
             min_support=self.min_support,
         )
-        for dependency in dependencies:
-            self._successors.setdefault(dependency.predecessor, []).append(dependency)
-
-    def reset(self) -> None:
-        super().reset()
-        self._prewarm_until = {}
 
     @property
     def dependencies(self) -> List[Dependency]:
         """All mined dependencies (for inspection and tests)."""
-        return [dep for deps in self._successors.values() for dep in deps]
+        return list(self._mined)
 
     # ------------------------------------------------------------------ #
-    def on_minute(self, minute: int, invocations: Mapping[str, int]) -> Set[str]:
-        resident = super().on_minute(minute, invocations)
+    def on_bind(self, index: InvocationIndex) -> None:
+        super().on_bind(index)
+        n = index.n_functions
+        by_predecessor: Dict[int, List[tuple[int, int]]] = {}
+        for dependency in self._mined:
+            predecessor = index.index_of.get(dependency.predecessor)
+            successor = index.index_of.get(dependency.successor)
+            if predecessor is None or successor is None:
+                # Mined against metadata the simulated trace doesn't carry;
+                # a training/simulation split of one trace never produces
+                # such ids.
+                continue
+            by_predecessor.setdefault(predecessor, []).append(
+                (successor, dependency.lag_window)
+            )
+        counts = np.zeros(n, dtype=np.int64)
+        predecessors: List[int] = []
+        successors: List[int] = []
+        lags: List[int] = []
+        for predecessor in range(n):
+            for successor, lag in by_predecessor.get(predecessor, ()):
+                predecessors.append(predecessor)
+                successors.append(successor)
+                lags.append(lag)
+            counts[predecessor] = len(by_predecessor.get(predecessor, ()))
+        self._edge_predecessors = np.asarray(predecessors, dtype=np.int64)
+        self._succ_positions = np.asarray(successors, dtype=np.int64)
+        self._succ_lags = np.asarray(lags, dtype=np.int64)
+        self._succ_counts = counts
+        self._has_dependencies = bool(self._succ_positions.size)
+        # Scratch flags over predecessor positions, reused every minute so
+        # edge selection is one vectorized gather, no per-edge Python.
+        self._predecessor_invoked = np.zeros(n, dtype=bool)
+        self._prewarm_until = np.full(n, NEVER_MINUTE, dtype=np.int64)
 
-        # Pre-warm successors of every invoked predecessor.
-        for function_id in invocations:
-            for dependency in self._successors.get(function_id, ()):
-                horizon = minute + dependency.lag_window
-                current = self._prewarm_until.get(dependency.successor, -1)
-                if horizon > current:
-                    self._prewarm_until[dependency.successor] = horizon
+    def reset(self) -> None:
+        super().reset()
+        if self.is_bound:
+            self._prewarm_until.fill(NEVER_MINUTE)
 
-        expired = [fid for fid, until in self._prewarm_until.items() if until <= minute]
-        for function_id in expired:
-            del self._prewarm_until[function_id]
-
-        resident.update(self._prewarm_until)
-        return resident
+    # ------------------------------------------------------------------ #
+    def on_minute_indexed(
+        self, minute: int, invoked: np.ndarray, counts: np.ndarray
+    ) -> np.ndarray:
+        mask = super().on_minute_indexed(minute, invoked, counts)
+        if self._has_dependencies and invoked.size:
+            with_successors = invoked[self._succ_counts[invoked] > 0]
+            if with_successors.size:
+                flags = self._predecessor_invoked
+                flags[with_successors] = True
+                edges = np.flatnonzero(flags[self._edge_predecessors])
+                flags[with_successors] = False
+                np.maximum.at(
+                    self._prewarm_until,
+                    self._succ_positions[edges],
+                    minute + self._succ_lags[edges],
+                )
+        if self._has_dependencies:
+            # A horizon of `minute` is already expired; strictly-later
+            # horizons pre-warm.
+            mask |= self._prewarm_until > minute
+        return mask

@@ -21,17 +21,28 @@ experiment harness does the same.
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import Dict, Mapping, Sequence, Set
+from typing import Mapping, Sequence
 
-from repro.simulation.policy_base import ProvisioningPolicy
+import numpy as np
+
+from repro.simulation.vector_policy import VectorizedPolicy
 from repro.traces.schema import FunctionRecord
-from repro.traces.trace import Trace
+from repro.traces.trace import InvocationIndex, Trace
 
 
-class FaasCachePolicy(ProvisioningPolicy):
+class FaasCachePolicy(VectorizedPolicy):
     """Greedy-Dual-Size-Frequency keep-alive under a memory capacity.
+
+    The whole cache state is four arrays over the trace's function-index
+    space (frequency, GDSF priority, residency, last-update sequence) plus
+    the scalar eviction clock.  A minute costs one scatter to refresh the
+    invoked functions' priorities; eviction — only on minutes the capacity is
+    actually exceeded — is one lexsort of the resident set by
+    ``(priority, last-update sequence)``.  That is a priority heap's exact
+    pop order: GDSF priorities are strictly increasing per function update
+    (frequency grows on every invocation), so a lazy heap's only *valid*
+    entry for a function is its most recent push, and ties between functions
+    break on push order.
 
     Parameters
     ----------
@@ -42,6 +53,7 @@ class FaasCachePolicy(ProvisioningPolicy):
         peak memory usage, as the paper does.
     sizes:
         Optional per-function memory footprint (defaults to 1 unit each).
+        Sizes must be positive: the GDSF priority divides by them.
     costs:
         Optional per-function warm-up cost (defaults to 1 each).
     """
@@ -57,14 +69,10 @@ class FaasCachePolicy(ProvisioningPolicy):
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be >= 1 when given")
         self.capacity = capacity
-        self._sizes = dict(sizes or {})
-        self._costs = dict(costs or {})
+        self._size_overrides = dict(sizes or {})
+        self._cost_overrides = dict(costs or {})
         self._clock = 0.0
-        self._frequency: Dict[str, int] = {}
-        self._priority: Dict[str, float] = {}
-        self._resident: Set[str] = set()
-        self._heap: list[tuple[float, int, str]] = []
-        self._counter = itertools.count()
+        self._sequence = 0
 
     # ------------------------------------------------------------------ #
     def prepare(
@@ -77,59 +85,74 @@ class FaasCachePolicy(ProvisioningPolicy):
             self.capacity = max(1, len(functions) // 10)
         self.reset()
 
+    def on_bind(self, index: InvocationIndex) -> None:
+        n = index.n_functions
+        self._sizes = np.ones(n, dtype=float)
+        self._costs = np.ones(n, dtype=float)
+        for function_id, size in self._size_overrides.items():
+            position = index.index_of.get(function_id)
+            if position is not None:
+                self._sizes[position] = float(size)
+        for function_id, cost in self._cost_overrides.items():
+            position = index.index_of.get(function_id)
+            if position is not None:
+                self._costs[position] = float(cost)
+        self._frequency = np.zeros(n, dtype=np.int64)
+        self._priority = np.zeros(n, dtype=float)
+        self._resident = np.zeros(n, dtype=bool)
+        self._updated = np.zeros(n, dtype=np.int64)
+        self._clock = 0.0
+        self._sequence = 0
+
     def reset(self) -> None:
         self._clock = 0.0
-        self._frequency = {}
-        self._priority = {}
-        self._resident = set()
-        self._heap = []
-        self._counter = itertools.count()
+        self._sequence = 0
+        if self.is_bound:
+            self._frequency.fill(0)
+            self._priority.fill(0.0)
+            self._resident.fill(False)
+            self._updated.fill(0)
 
     # ------------------------------------------------------------------ #
-    def _size(self, function_id: str) -> float:
-        return float(self._sizes.get(function_id, 1.0))
-
-    def _cost(self, function_id: str) -> float:
-        return float(self._costs.get(function_id, 1.0))
-
-    def _compute_priority(self, function_id: str) -> float:
-        frequency = self._frequency.get(function_id, 0)
-        return self._clock + frequency * self._cost(function_id) / self._size(function_id)
-
-    def _push(self, function_id: str) -> None:
-        priority = self._priority[function_id]
-        heapq.heappush(self._heap, (priority, next(self._counter), function_id))
-
-    def _used_capacity(self) -> float:
-        return sum(self._size(function_id) for function_id in self._resident)
+    def on_minute_indexed(
+        self, minute: int, invoked: np.ndarray, counts: np.ndarray
+    ) -> np.ndarray:
+        if invoked.size:
+            self._frequency[invoked] += counts
+            # Evaluated as `clock + freq * cost / size`, in that order:
+            # multiplying by a precomputed cost/size ratio rounds differently
+            # for non-dyadic ratios and can flip eviction order.
+            self._priority[invoked] = (
+                self._clock
+                + self._frequency[invoked] * self._costs[invoked] / self._sizes[invoked]
+            )
+            self._resident[invoked] = True
+            self._updated[invoked] = np.arange(
+                self._sequence, self._sequence + invoked.size, dtype=np.int64
+            )
+            self._sequence += invoked.size
+        self._evict_if_needed()
+        return self._resident
 
     def _evict_if_needed(self) -> None:
-        capacity = self.capacity if self.capacity is not None else len(self._resident)
-        while self._resident and self._used_capacity() > capacity:
-            while self._heap:
-                priority, _, function_id = heapq.heappop(self._heap)
-                if function_id in self._resident and self._priority.get(function_id) == priority:
-                    self._resident.discard(function_id)
-                    self._clock = max(self._clock, priority)
-                    break
-            else:
-                # Heap exhausted (stale entries only): drop an arbitrary resident.
-                self._resident.pop()
-                break
-
-    # ------------------------------------------------------------------ #
-    def on_minute(self, minute: int, invocations: Mapping[str, int]) -> Set[str]:
-        for function_id, count in invocations.items():
-            self._frequency[function_id] = self._frequency.get(function_id, 0) + int(count)
-            self._resident.add(function_id)
-            self._priority[function_id] = self._compute_priority(function_id)
-            self._push(function_id)
-
-        self._evict_if_needed()
-        return set(self._resident)
+        resident = np.flatnonzero(self._resident)
+        if resident.size == 0:
+            return
+        capacity = float(self.capacity) if self.capacity is not None else resident.size
+        used = float(self._sizes[resident].sum())
+        if used <= capacity:
+            return
+        # Heap pop order: lowest priority first, push order breaking ties.
+        order = np.lexsort((self._updated[resident], self._priority[resident]))
+        victims = resident[order]
+        freed = np.cumsum(self._sizes[victims])
+        evict_count = int(np.searchsorted(freed, used - capacity, side="left")) + 1
+        evicted = victims[:evict_count]
+        self._resident[evicted] = False
+        self._clock = max(self._clock, float(self._priority[evicted].max()))
 
     # ------------------------------------------------------------------ #
     @property
-    def resident_functions(self) -> Set[str]:
-        """Currently warm functions (for inspection and tests)."""
-        return set(self._resident)
+    def resident_functions(self) -> set[str]:
+        """Currently warm function ids (for inspection and tests)."""
+        return self.resident_ids(self._resident) if self.is_bound else set()

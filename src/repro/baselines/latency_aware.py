@@ -40,9 +40,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.vectorized import _NEVER
 from repro.simulation.events import LatencyWindow
-from repro.simulation.vector_policy import VectorizedPolicy
+from repro.simulation.vector_policy import NEVER_MINUTE, VectorizedPolicy
 from repro.traces.trace import InvocationIndex
 
 __all__ = ["LatencyAwareKeepAlivePolicy"]
@@ -104,13 +103,13 @@ class LatencyAwareKeepAlivePolicy(VectorizedPolicy):
     # ------------------------------------------------------------------ #
     def on_bind(self, index: InvocationIndex) -> None:
         n = index.n_functions
-        self._expiry = np.full(n, _NEVER, dtype=np.int64)
+        self._expiry = np.full(n, NEVER_MINUTE, dtype=np.int64)
         self._keep_alive = np.full(n, self.base_keep_alive_minutes, dtype=np.int64)
         self._mask = np.zeros(n, dtype=bool)
 
     def reset(self) -> None:
         if self.is_bound:
-            self._expiry.fill(_NEVER)
+            self._expiry.fill(NEVER_MINUTE)
             self._keep_alive.fill(self.base_keep_alive_minutes)
             self._mask.fill(False)
 

@@ -8,16 +8,30 @@ is included as an additional comparator for the benchmark harness.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Mapping, Sequence, Set
+from typing import Sequence
 
-from repro.simulation.policy_base import ProvisioningPolicy
+import numpy as np
+
+from repro.simulation.vector_policy import NEVER_MINUTE, VectorizedPolicy
 from repro.traces.schema import FunctionRecord
-from repro.traces.trace import Trace
+from repro.traces.trace import InvocationIndex, Trace
 
 
-class LcsPolicy(ProvisioningPolicy):
+class LcsPolicy(VectorizedPolicy):
     """LRU warm-container policy with a fixed time-to-live and capacity.
+
+    Recency is a strictly increasing sequence number assigned per invocation
+    — within a minute, in the order of the invoked function indices — so
+    "least recently used" is simply the smallest sequence among live
+    functions.  Two rules define residency:
+
+    * expiry (``idle >= keep_alive_minutes``) is monotone between
+      invocations, so it needs no bookkeeping — it is recomputed from the
+      last-invocation array each minute;
+    * capacity eviction is *not* monotone: an evicted function would pass
+      the expiry test again next minute, so evictions are recorded in a
+      tombstone mask that only a re-invocation clears (an evicted container
+      stays gone until its function fires again).
 
     Parameters
     ----------
@@ -40,8 +54,9 @@ class LcsPolicy(ProvisioningPolicy):
             raise ValueError("capacity must be >= 1 when given")
         self.keep_alive_minutes = keep_alive_minutes
         self.capacity = capacity
-        self._last_used: "OrderedDict[str, int]" = OrderedDict()
+        self._counter = 0
 
+    # ------------------------------------------------------------------ #
     def prepare(
         self,
         functions: Sequence[FunctionRecord],
@@ -52,27 +67,53 @@ class LcsPolicy(ProvisioningPolicy):
             self.capacity = max(1, len(functions) // 5)
         self.reset()
 
+    def on_bind(self, index: InvocationIndex) -> None:
+        n = index.n_functions
+        self._last = np.full(n, NEVER_MINUTE, dtype=np.int64)
+        self._sequence = np.zeros(n, dtype=np.int64)
+        self._evicted = np.zeros(n, dtype=bool)
+        self._mask = np.zeros(n, dtype=bool)
+        self._counter = 0
+
     def reset(self) -> None:
-        self._last_used = OrderedDict()
+        self._counter = 0
+        if self.is_bound:
+            self._last.fill(NEVER_MINUTE)
+            self._sequence.fill(0)
+            self._evicted.fill(False)
+            self._mask.fill(False)
 
-    def on_minute(self, minute: int, invocations: Mapping[str, int]) -> Set[str]:
-        for function_id in invocations:
-            if function_id in self._last_used:
-                del self._last_used[function_id]
-            self._last_used[function_id] = minute
+    # ------------------------------------------------------------------ #
+    def on_minute_indexed(
+        self, minute: int, invoked: np.ndarray, counts: np.ndarray
+    ) -> np.ndarray:
+        if invoked.size:
+            self._last[invoked] = minute
+            self._sequence[invoked] = np.arange(
+                self._counter, self._counter + invoked.size, dtype=np.int64
+            )
+            self._counter += invoked.size
+            self._evicted[invoked] = False
 
-        # Expire containers idle beyond the keep-alive window.
-        expired = [
-            function_id
-            for function_id, last in self._last_used.items()
-            if minute - last >= self.keep_alive_minutes
-        ]
-        for function_id in expired:
-            del self._last_used[function_id]
+        mask = self._mask
+        # Warm = invoked at least once, idle for less than the keep-alive
+        # window, and not tombstoned by a capacity eviction.
+        np.less(minute - self._last, self.keep_alive_minutes, out=mask)
+        mask &= self._last != NEVER_MINUTE
+        mask &= ~self._evicted
 
-        # Enforce capacity by evicting the least recently used containers.
-        capacity = self.capacity if self.capacity is not None else len(self._last_used)
-        while len(self._last_used) > capacity:
-            self._last_used.popitem(last=False)
+        if self.capacity is not None:
+            live = np.flatnonzero(mask)
+            overflow = live.size - self.capacity
+            if overflow > 0:
+                order = np.argsort(self._sequence[live])
+                victims = live[order[:overflow]]
+                mask[victims] = False
+                self._evicted[victims] = True
+        return mask
 
-        return set(self._last_used)
+    # ------------------------------------------------------------------ #
+    @property
+    def resident_functions(self) -> set[str]:
+        """Currently warm function ids (for inspection and tests)."""
+        return self.resident_ids(self._mask) if self.is_bound else set()

@@ -962,7 +962,7 @@ def build_parser() -> argparse.ArgumentParser:
     latency_rq.add_argument(
         "--policies",
         nargs="+",
-        default=["fixed-10min-indexed", "latency-keepalive"],
+        default=["fixed-10min", "latency-keepalive"],
         help="policies to compare (default: open-loop fixed vs. latency-aware)",
     )
     latency_rq.add_argument(
@@ -1015,7 +1015,7 @@ def build_parser() -> argparse.ArgumentParser:
     slowdown_rq.add_argument(
         "--policies",
         nargs="+",
-        default=["fixed-10min-indexed", "spes-indexed"],
+        default=["fixed-10min", "spes"],
         help="policies to compare (default: fixed keep-alive vs. the paper's)",
     )
     slowdown_rq.add_argument(

@@ -22,10 +22,8 @@ This package implements the paper's primary contribution:
 * :mod:`repro.core.adaptive` -- the adjusting and online-correlation adaptive
   strategies (§IV-C).
 * :mod:`repro.core.policy` -- :class:`SpesPolicy`, the online provision
-  algorithm (Algorithm 1) packaged as a
-  :class:`~repro.simulation.policy_base.ProvisioningPolicy`.
-* :mod:`repro.core.indexed` -- :class:`IndexedSpesPolicy`, the index-native
-  (vectorized) port of the same algorithm.
+  algorithm (Algorithm 1) packaged as an index-native
+  :class:`~repro.simulation.vector_policy.VectorizedPolicy`.
 """
 
 from repro.core.categories import FunctionCategory
@@ -36,7 +34,6 @@ from repro.core.classifier import DeterministicClassifier
 from repro.core.correlation import co_occurrence_rate, lagged_co_occurrence_rate, best_lagged_cor
 from repro.core.offline import CategorizationResult, OfflineCategorizer
 from repro.core.policy import SpesPolicy
-from repro.core.indexed import IndexedSpesPolicy
 
 __all__ = [
     "FunctionCategory",
@@ -51,5 +48,4 @@ __all__ = [
     "CategorizationResult",
     "OfflineCategorizer",
     "SpesPolicy",
-    "IndexedSpesPolicy",
 ]

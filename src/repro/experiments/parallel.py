@@ -40,15 +40,15 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence
 import numpy as np
 
 from repro.baselines import (
-    IndexedDefusePolicy,
-    IndexedFaasCachePolicy,
-    IndexedFixedKeepAlivePolicy,
-    IndexedHybridApplicationPolicy,
-    IndexedHybridFunctionPolicy,
-    IndexedLcsPolicy,
+    DefusePolicy,
+    FaasCachePolicy,
+    FixedKeepAlivePolicy,
+    HybridApplicationPolicy,
+    HybridFunctionPolicy,
     LatencyAwareKeepAlivePolicy,
+    LcsPolicy,
 )
-from repro.core import IndexedSpesPolicy
+from repro.core import SpesPolicy
 from repro.simulation import (
     ClusterModel,
     EventConfig,
@@ -83,34 +83,22 @@ __all__ = [
 # --------------------------------------------------------------------- #
 # Policy registry and specs
 # --------------------------------------------------------------------- #
-#: The paper's policies on their index-native implementations.  Their
-#: dict-stepping twins (``SpesPolicy``, ``DefusePolicy``, ...) share each
-#: policy's ``name`` and are fingerprint-equal; they are the equivalence
-#: tests' oracle and are not registered.
-_PAPER_POLICIES: Dict[str, Callable[..., ProvisioningPolicy]] = {
-    "spes": IndexedSpesPolicy,
-    "fixed-keepalive": IndexedFixedKeepAlivePolicy,
-    "fixed-10min": lambda: IndexedFixedKeepAlivePolicy(keep_alive_minutes=10),
-    "hybrid-function": IndexedHybridFunctionPolicy,
-    "hybrid-application": IndexedHybridApplicationPolicy,
-    "defuse": IndexedDefusePolicy,
-    "faascache": IndexedFaasCachePolicy,
-    "lcs": IndexedLcsPolicy,
-}
-
 #: Maps spec names to policy factories.  Factories are called with the spec's
 #: keyword parameters; a factory declaring a ``seed`` parameter additionally
 #: receives the cell's deterministic seed.
 POLICY_REGISTRY: Dict[str, Callable[..., ProvisioningPolicy]] = {
-    **_PAPER_POLICIES,
+    "spes": SpesPolicy,
+    "fixed-keepalive": FixedKeepAlivePolicy,
+    "fixed-10min": lambda: FixedKeepAlivePolicy(keep_alive_minutes=10),
+    "hybrid-function": HybridFunctionPolicy,
+    "hybrid-application": HybridApplicationPolicy,
+    "defuse": DefusePolicy,
+    "faascache": FaasCachePolicy,
+    "lcs": LcsPolicy,
     "no-keepalive": NoKeepAlivePolicy,
     "always-warm": AlwaysWarmPolicy,
-    # Latency-aware keep-alive: index-native only (it consumes the feedback
-    # engine's rolling window; there is no dict twin to port).
+    # Latency-aware keep-alive: consumes the feedback engine's rolling window.
     "latency-keepalive": LatencyAwareKeepAlivePolicy,
-    # ``<name>-indexed`` keys name the same factories: the results book's
-    # RQ5/RQ6 rows and existing sweep commands use them.
-    **{f"{name}-indexed": factory for name, factory in _PAPER_POLICIES.items()},
 }
 
 

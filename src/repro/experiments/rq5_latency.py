@@ -12,7 +12,7 @@ the pooled cold-start-wait distribution (merged across seeds with
 :meth:`~repro.simulation.results.LatencyStats.merge`, so the percentiles are
 exact).  The default policy set pairs the feedback consumer
 (``latency-keepalive``) against its open-loop twin at the same base horizon
-(``fixed-10min-indexed``): both start from identical keep-alive behaviour,
+(``fixed-10min``): both start from identical keep-alive behaviour,
 so any divergence in the table is attributable to the feedback loop alone.
 
 This module backs the ``spes-repro latency-rq`` CLI subcommand.
@@ -38,7 +38,7 @@ __all__ = [
 DEFAULT_LATENCY_RQ_SCENARIOS = ("rotating-periods", "load-ramp", "seasonal-mix")
 
 #: Feedback consumer vs. its open-loop twin at the same base horizon.
-DEFAULT_LATENCY_RQ_POLICIES = ("fixed-10min-indexed", "latency-keepalive")
+DEFAULT_LATENCY_RQ_POLICIES = ("fixed-10min", "latency-keepalive")
 
 
 def latency_rq(

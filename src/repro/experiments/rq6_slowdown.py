@@ -44,7 +44,7 @@ DEFAULT_RQ6_SCENARIOS = ("cpu-starved", "long-duration-mix")
 #: A keep-alive baseline against the paper's policy: provisioning quality
 #: still matters (a cold start delays the CPU arrival), but under contention
 #: the scheduler column should move the numbers more than the policy column.
-DEFAULT_RQ6_POLICIES = ("fixed-10min-indexed", "spes-indexed")
+DEFAULT_RQ6_POLICIES = ("fixed-10min", "spes")
 
 #: Convoy-prone baseline vs. the strongest size-aware discipline.
 DEFAULT_RQ6_SCHEDULERS = ("fifo", "srtf")

@@ -46,11 +46,17 @@ from repro.traces.schema import FunctionRecord
 from repro.traces.trace import InvocationIndex, Trace
 
 __all__ = [
+    "NEVER_MINUTE",
     "VectorizedPolicy",
     "DictPolicyAdapter",
     "NoKeepAlivePolicy",
     "AlwaysWarmPolicy",
 ]
+
+#: "Never invoked" minute for index-native policies' last-invocation and
+#: expiry arrays: far below any warm-up minute, but safely away from int64
+#: overflow when minutes are subtracted from it.
+NEVER_MINUTE = -(2**62)
 
 
 class VectorizedPolicy(ProvisioningPolicy):

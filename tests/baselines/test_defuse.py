@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 from defuse_reference import mine_dependencies_reference
+from dict_policies import DictDefusePolicy
 
-from repro.baselines import DefusePolicy, IndexedDefusePolicy
+from repro.baselines import DefusePolicy
 from repro.baselines.defuse import mine_dependencies
 from repro.simulation import simulate_policy
 from repro.traces import (
@@ -138,22 +139,27 @@ class TestMiningMatchesReferenceLoop:
 
 
 class TestDefusePolicy:
+    """Defuse stepping, pinned on the dict oracle the shipped class must match.
+
+    The end-to-end cold-start check runs the shipped class.
+    """
+
     def test_dependencies_collected_at_prepare(self):
         trace = chained_pair_trace(name="train")
-        policy = DefusePolicy()
+        policy = DictDefusePolicy()
         policy.prepare(trace.records(), trace)
         assert any(d.successor == "child" for d in policy.dependencies)
 
     def test_child_prewarmed_after_parent_fires(self):
         trace = chained_pair_trace(name="train")
-        policy = DefusePolicy()
+        policy = DictDefusePolicy()
         policy.prepare(trace.records(), trace)
         resident = policy.on_minute(0, {"parent": 1})
         assert "child" in resident
 
     def test_prewarm_expires(self):
         trace = chained_pair_trace(name="train")
-        policy = DefusePolicy(strong_lag=2)
+        policy = DictDefusePolicy(strong_lag=2)
         policy.prepare(trace.records(), trace)
         policy.on_minute(0, {"parent": 1})
         resident_later = policy.on_minute(10, {})
@@ -176,7 +182,7 @@ class TestDefusePolicy:
 
     def test_reset_clears_prewarm_state(self):
         trace = chained_pair_trace(name="train")
-        policy = DefusePolicy()
+        policy = DictDefusePolicy()
         policy.prepare(trace.records(), trace)
         policy.on_minute(0, {"parent": 1})
         policy.reset()
@@ -184,14 +190,15 @@ class TestDefusePolicy:
 
 
 class TestIndexedDefusePolicy:
-    """Twin-parity checks; the full fingerprint equivalence matrix lives in
-    tests/simulation/test_equivalence_random.py via the POLICY_PAIRS catalog."""
+    """The shipped class against the dict oracle; the full fingerprint
+    equivalence matrix lives in tests/simulation/test_equivalence_random.py
+    via the POLICY_PAIRS catalog."""
 
     def _prepared_pair(self):
         trace = chained_pair_trace(name="train")
-        dict_policy = DefusePolicy()
+        dict_policy = DictDefusePolicy()
         dict_policy.prepare(trace.records(), trace)
-        indexed = IndexedDefusePolicy()
+        indexed = DefusePolicy()
         indexed.prepare(trace.records(), trace)
         indexed.bind_index(trace.invocation_index())
         return trace, dict_policy, indexed
@@ -217,4 +224,4 @@ class TestIndexedDefusePolicy:
         assert "child" not in indexed.on_minute(1, {})
 
     def test_twins_share_the_registry_name(self):
-        assert IndexedDefusePolicy().name == DefusePolicy().name == "defuse"
+        assert DefusePolicy().name == DictDefusePolicy().name == "defuse"

@@ -1,40 +1,43 @@
-"""Tests for the FaaSCache (GDSF) baseline and its index-native twin."""
+"""Tests for the FaaSCache (GDSF) baseline and its dict-stepping oracle."""
 
 import zlib
 
 import numpy as np
 import pytest
+from dict_policies import DictFaasCachePolicy
 
-from repro.baselines import FaasCachePolicy, IndexedFaasCachePolicy
+from repro.baselines import FaasCachePolicy
 from repro.simulation import simulate_policy
 from repro.traces import FunctionRecord, Trace
 from repro.traces.schema import TraceMetadata
 
 
 def prepared_policy(capacity, n_functions=10):
-    policy = FaasCachePolicy(capacity=capacity)
+    policy = DictFaasCachePolicy(capacity=capacity)
     records = [FunctionRecord(f"f{i}", "a", "o") for i in range(n_functions)]
     policy.prepare(records)
     return policy
 
 
 def prepared_indexed_policy(capacity, n_functions=10, duration=20, **kwargs):
-    """An IndexedFaasCachePolicy prepared *and bound* to a tiny trace.
+    """A FaasCachePolicy prepared *and bound* to a tiny trace.
 
     The indexed contract needs a function-index space; the dict-API bridge
-    (``on_minute``) then drives it exactly like the dict twin in the unit
+    (``on_minute``) then drives it exactly like the dict oracle in the unit
     tests below.
     """
     records = [FunctionRecord(f"f{i}", "a", "o") for i in range(n_functions)]
     counts = {f"f{i}": np.zeros(duration, dtype=np.int64) for i in range(n_functions)}
     trace = Trace(records, counts, TraceMetadata(name="tiny", duration_minutes=duration))
-    policy = IndexedFaasCachePolicy(capacity=capacity, **kwargs)
+    policy = FaasCachePolicy(capacity=capacity, **kwargs)
     policy.prepare(records)
     policy.bind_index(trace.invocation_index())
     return policy
 
 
 class TestFaasCache:
+    """GDSF semantics, pinned on the dict oracle the shipped class must match."""
+
     def test_everything_kept_until_capacity(self):
         policy = prepared_policy(capacity=3)
         policy.on_minute(0, {"f0": 1})
@@ -71,13 +74,13 @@ class TestFaasCache:
         assert len(policy.resident_functions) == 10
 
     def test_default_capacity_derived_from_population(self):
-        policy = FaasCachePolicy()
+        policy = DictFaasCachePolicy()
         records = [FunctionRecord(f"f{i}", "a", "o") for i in range(50)]
         policy.prepare(records)
         assert policy.capacity == 5
 
     def test_custom_sizes_respected(self):
-        policy = FaasCachePolicy(capacity=3, sizes={"big": 3.0})
+        policy = DictFaasCachePolicy(capacity=3, sizes={"big": 3.0})
         policy.prepare([FunctionRecord("big", "a", "o"), FunctionRecord("small", "a", "o")])
         policy.on_minute(0, {"big": 1})
         resident = policy.on_minute(1, {"small": 1})
@@ -85,7 +88,7 @@ class TestFaasCache:
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
-            FaasCachePolicy(capacity=0)
+            DictFaasCachePolicy(capacity=0)
 
     def test_reset_clears_cache(self):
         policy = prepared_policy(capacity=5)
@@ -95,14 +98,14 @@ class TestFaasCache:
 
 
 class TestIndexedFaasCache:
-    """The index-native port behaves exactly like the dict twin."""
+    """The shipped index-native class behaves exactly like the dict oracle."""
 
     def test_shares_the_policy_name(self):
-        assert IndexedFaasCachePolicy().name == FaasCachePolicy().name
+        assert FaasCachePolicy().name == DictFaasCachePolicy().name
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
-            IndexedFaasCachePolicy(capacity=0)
+            FaasCachePolicy(capacity=0)
 
     def test_default_capacity_derived_from_population(self):
         policy = prepared_indexed_policy(capacity=None, n_functions=50)
@@ -112,7 +115,7 @@ class TestIndexedFaasCache:
     def test_minute_by_minute_lockstep_with_the_dict_twin(self, scenario):
         kwargs = {"sizes": {"f0": 3.0}} if scenario == "sizes" else {}
         capacity = {"basic": 2, "hot": 2, "sizes": 3}[scenario]
-        dict_policy = FaasCachePolicy(capacity=capacity, **kwargs)
+        dict_policy = DictFaasCachePolicy(capacity=capacity, **kwargs)
         dict_policy.prepare([FunctionRecord(f"f{i}", "a", "o") for i in range(10)])
         indexed = prepared_indexed_policy(capacity=capacity, **kwargs)
 
@@ -155,7 +158,7 @@ class TestIndexedFaasCache:
                 warmup_minutes=120,
                 engine=engine,
             ).deterministic_fingerprint()
-            for factory in (FaasCachePolicy, IndexedFaasCachePolicy)
+            for factory in (DictFaasCachePolicy, FaasCachePolicy)
             for engine in ("vectorized", "reference")
         ]
         assert len(set(results)) == 1

@@ -81,8 +81,10 @@ class TestHybridApplication:
             FunctionRecord("f1", "app", "o", TriggerType.TIMER),
             FunctionRecord("f2", "app", "o", TriggerType.QUEUE),
         ]
+        idle = {record.function_id: np.zeros(4, dtype=np.int64) for record in records}
         policy = HybridApplicationPolicy()
         policy.prepare(records, None)
+        policy.bind_index(build_trace(idle, records).invocation_index())
         resident = policy.on_minute(0, {"f1": 1})
         assert resident == {"f1", "f2"}
 

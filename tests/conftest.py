@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,13 @@ from repro.traces import (
     split_trace,
 )
 from repro.traces.schema import TraceMetadata
+
+# The dict-stepping policy oracles (``dict_policies``) live beside this file.
+# Putting the directory on the path here, before any test module is
+# collected, lets every test directory import them under any import mode.
+_TESTS_DIR = str(Path(__file__).resolve().parent)
+if _TESTS_DIR not in sys.path:
+    sys.path.insert(0, _TESTS_DIR)
 
 
 @pytest.fixture

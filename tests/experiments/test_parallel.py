@@ -3,16 +3,17 @@
 import pickle
 
 import pytest
-
-from repro.baselines import (
-    DefusePolicy,
-    FaasCachePolicy,
-    FixedKeepAlivePolicy,
-    HybridApplicationPolicy,
-    HybridFunctionPolicy,
-    LcsPolicy,
+from dict_policies import (
+    DictDefusePolicy,
+    DictFaasCachePolicy,
+    DictFixedKeepAlivePolicy,
+    DictHybridApplicationPolicy,
+    DictHybridFunctionPolicy,
+    DictLcsPolicy,
+    DictSpesPolicy,
 )
-from repro.core import SpesConfig, SpesPolicy
+
+from repro.core import SpesConfig
 from repro.experiments import ExperimentConfig, default_policy_specs
 from repro.experiments.parallel import (
     POLICY_REGISTRY,
@@ -67,45 +68,76 @@ class TestPolicySpec:
 
 
 class TestRegistryCoverage:
-    def test_every_dict_baseline_has_an_indexed_twin(self):
-        """No registered policy *needs* the DictPolicyAdapter anymore.
+    #: One key per policy: the paper's policies, the two degenerate bounds and
+    #: the latency-aware keep-alive.
+    BUILTIN_KEYS = {
+        "spes",
+        "fixed-keepalive",
+        "fixed-10min",
+        "hybrid-function",
+        "hybrid-application",
+        "defuse",
+        "faascache",
+        "lcs",
+        "no-keepalive",
+        "always-warm",
+        "latency-keepalive",
+    }
 
-        Every dict-API registry entry must have an ``<name>-indexed`` twin
-        (LCS was the last holdout), so sweeps can run entirely on the
-        index-native contract.
-        """
-        from repro.experiments.parallel import POLICY_REGISTRY
+    def test_one_key_per_policy(self):
+        assert set(POLICY_REGISTRY) == self.BUILTIN_KEYS
+        assert not [name for name in POLICY_REGISTRY if name.endswith("-indexed")]
 
-        dict_entries = {
-            name
-            for name in POLICY_REGISTRY
-            if not name.endswith("-indexed")
-            and name not in ("no-keepalive", "always-warm", "latency-keepalive")
-        }
-        missing = {
-            name for name in dict_entries if f"{name}-indexed" not in POLICY_REGISTRY
-        }
-        assert not missing, f"dict-only registry entries remain: {sorted(missing)}"
-
-    def test_indexed_twins_are_not_dict_adapted(self):
-        from repro.experiments.parallel import POLICY_REGISTRY
+    def test_every_registry_factory_builds_an_indexed_policy(self):
+        """No registered policy steps through the DictPolicyAdapter."""
         from repro.simulation import VectorizedPolicy
 
         for name, factory in POLICY_REGISTRY.items():
-            if name.endswith("-indexed") or name == "latency-keepalive":
-                policy = factory() if name != "faascache-indexed" else factory(capacity=4)
-                assert isinstance(policy, VectorizedPolicy), name
+            assert isinstance(factory(), VectorizedPolicy), name
 
-    #: Bare paper names -> their dict-stepping twins (the equivalence oracle).
+    def test_registry_classes_are_the_only_concrete_policies(self):
+        """One class per policy: every concrete ``repro`` policy is registered.
+
+        Walks ``ProvisioningPolicy.__subclasses__()`` after importing the
+        policy packages.  The one concrete class no registry key builds is
+        the DictPolicyAdapter, and no class inherits dict stepping: only the
+        abstract contract and the indexed bridge define ``on_minute``.
+        """
+        import inspect
+
+        import repro.baselines  # noqa: F401  (defines the baseline classes)
+        import repro.core  # noqa: F401  (defines SpesPolicy)
+        from repro.simulation.policy_base import ProvisioningPolicy
+        from repro.simulation.vector_policy import DictPolicyAdapter, VectorizedPolicy
+
+        found, pending = set(), [ProvisioningPolicy]
+        while pending:
+            cls = pending.pop()
+            if cls not in found:
+                found.add(cls)
+                pending.extend(cls.__subclasses__())
+        concrete = {
+            cls
+            for cls in found
+            if cls.__module__.startswith("repro.") and not inspect.isabstract(cls)
+        }
+        registered = {type(factory()) for factory in POLICY_REGISTRY.values()}
+        assert concrete - registered == {DictPolicyAdapter}
+        for cls in concrete:
+            assert issubclass(cls, VectorizedPolicy), cls
+            stepping = {base for base in cls.__mro__ if "on_minute" in vars(base)}
+            assert stepping <= {ProvisioningPolicy, VectorizedPolicy}, cls
+
+    #: Bare paper names -> their dict-stepping oracles (tests/dict_policies.py).
     PAPER_TWINS = {
-        "spes": SpesPolicy,
-        "fixed-keepalive": FixedKeepAlivePolicy,
-        "fixed-10min": lambda: FixedKeepAlivePolicy(keep_alive_minutes=10),
-        "hybrid-function": HybridFunctionPolicy,
-        "hybrid-application": HybridApplicationPolicy,
-        "defuse": DefusePolicy,
-        "faascache": FaasCachePolicy,
-        "lcs": LcsPolicy,
+        "spes": DictSpesPolicy,
+        "fixed-keepalive": DictFixedKeepAlivePolicy,
+        "fixed-10min": lambda: DictFixedKeepAlivePolicy(keep_alive_minutes=10),
+        "hybrid-function": DictHybridFunctionPolicy,
+        "hybrid-application": DictHybridApplicationPolicy,
+        "defuse": DictDefusePolicy,
+        "faascache": DictFaasCachePolicy,
+        "lcs": DictLcsPolicy,
     }
 
     def test_bare_paper_names_run_index_native(self):
@@ -118,12 +150,6 @@ class TestRegistryCoverage:
             assert not isinstance(twin, VectorizedPolicy), name
             assert policy.name == twin.name, name
             assert policy.shard_safe == twin.shard_safe, name
-
-    def test_indexed_keys_alias_the_bare_names(self):
-        for name in self.PAPER_TWINS:
-            alias = POLICY_REGISTRY[f"{name}-indexed"]
-            assert alias is POLICY_REGISTRY[name], name
-            assert type(alias()) is type(POLICY_REGISTRY[name]()), name
 
 
 class TestCellSeeds:
@@ -272,7 +298,7 @@ class TestParallelRunner:
     def test_streaming_runner_withholds_training(self, split):
         from repro.experiments.parallel import PolicySpec
 
-        spec = PolicySpec.of("hybrid-function-indexed")
+        spec = PolicySpec.of("hybrid-function")
         trained = ParallelRunner({"w": split}, warmup_minutes=60)
         streaming = ParallelRunner({"w": split}, warmup_minutes=60, streaming=True)
         trained_result = trained.run_cells([trained.cell("c", spec, "w")])["c"]

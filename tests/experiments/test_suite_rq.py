@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import IndexedSpesPolicy, SpesConfig
+from repro.core import SpesPolicy, SpesConfig
 from repro.experiments import (
     ExperimentConfig,
     ExperimentSuite,
@@ -43,7 +43,7 @@ def all_results(suite):
 def spes_run(suite):
     """A prepared SPES instance and its result, simulated directly."""
     split = suite.traces()[suite.trace_key(SEED)]
-    policy = IndexedSpesPolicy(suite.config.spes_config)
+    policy = SpesPolicy(suite.config.spes_config)
     result = simulate_policy(
         policy, split.simulation, split.training, warmup_minutes=suite.config.warmup_minutes
     )

@@ -9,8 +9,8 @@ hand-rolling its own workload and comparison loop, this module centralizes:
   train/simulation splits drawn from randomized generator profiles
   (:func:`random_split`), plus seeded capacity models derived from the
   workload itself (:func:`random_cluster`);
-* **the policy-pair catalog** — every dict policy with an index-native twin
-  (:data:`POLICY_PAIRS`), which new ports extend with one line;
+* **the policy-pair catalog** — every shipped paper policy paired with its
+  dict-stepping oracle from ``tests/dict_policies.py`` (:data:`POLICY_PAIRS`);
 * **fingerprint comparison** — :func:`collect_fingerprints` /
   :func:`assert_cross_engine_equivalence` run one policy through every
   (implementation × engine) combination and compare
@@ -31,27 +31,24 @@ from typing import Callable, Dict, Iterable
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    DefusePolicy,
-    FaasCachePolicy,
-    FixedKeepAlivePolicy,
-    HybridApplicationPolicy,
-    HybridFunctionPolicy,
-    IndexedDefusePolicy,
-    IndexedFaasCachePolicy,
-    IndexedFixedKeepAlivePolicy,
-    IndexedHybridApplicationPolicy,
-    IndexedHybridFunctionPolicy,
-    IndexedLcsPolicy,
-    LcsPolicy,
+from dict_policies import (
+    DictDefusePolicy,
+    DictFaasCachePolicy,
+    DictFixedKeepAlivePolicy,
+    DictHybridApplicationPolicy,
+    DictHybridFunctionPolicy,
+    DictLcsPolicy,
+    DictSpesPolicy,
 )
-from repro.core import IndexedSpesPolicy, SpesPolicy
+
+from repro.experiments.parallel import POLICY_REGISTRY
 from repro.simulation import (
     ClusterModel,
     EventConfig,
     placement_names,
     simulate_policy,
 )
+from repro.simulation.vector_policy import VectorizedPolicy
 from repro.traces import AzureTraceGenerator, GeneratorProfile, TraceSplit, split_trace
 
 #: Engines that support the uncapped setting (all of them).  The
@@ -70,27 +67,36 @@ SHARD_ENGINES = MASK_ENGINES
 #: equivalence matrix automatically.
 PLACEMENTS = tuple(placement_names())
 
-#: Every dict policy with an index-native twin, as ``pytest.param`` entries of
-#: ``(dict_factory, indexed_factory)``.  New ports join the whole equivalence
-#: matrix by adding one line here.
+
+def _oracle_pair(oracle, name, **params):
+    """``pytest.param(dict_factory, indexed_factory, id=name)`` for one policy.
+
+    The indexed side is built by the registry under ``name``, so the pair
+    checks the class a sweep actually runs.  Both sides are checked to be
+    two different types, the oracle outside the indexed contract: a pair of
+    one class with itself would pass every comparison vacuously.
+    """
+    registered = POLICY_REGISTRY[name]
+    dict_type, indexed_type = type(oracle(**params)), type(registered(**params))
+    assert not issubclass(dict_type, VectorizedPolicy), dict_type
+    assert issubclass(indexed_type, VectorizedPolicy), indexed_type
+    assert dict_type is not indexed_type
+    return pytest.param(
+        lambda: oracle(**params), lambda: registered(**params), id=name
+    )
+
+
+#: Every shipped paper policy against its dict-stepping oracle, as
+#: ``pytest.param`` entries of ``(dict_factory, indexed_factory)``.  A policy
+#: joins the whole equivalence matrix by adding one line here.
 POLICY_PAIRS = [
-    pytest.param(
-        lambda: FixedKeepAlivePolicy(10),
-        lambda: IndexedFixedKeepAlivePolicy(10),
-        id="fixed-10min",
-    ),
-    pytest.param(HybridFunctionPolicy, IndexedHybridFunctionPolicy, id="hybrid-function"),
-    pytest.param(
-        HybridApplicationPolicy, IndexedHybridApplicationPolicy, id="hybrid-application"
-    ),
-    pytest.param(SpesPolicy, IndexedSpesPolicy, id="spes"),
-    pytest.param(
-        lambda: FaasCachePolicy(capacity=15),
-        lambda: IndexedFaasCachePolicy(capacity=15),
-        id="faascache",
-    ),
-    pytest.param(DefusePolicy, IndexedDefusePolicy, id="defuse"),
-    pytest.param(LcsPolicy, IndexedLcsPolicy, id="lcs"),
+    _oracle_pair(lambda: DictFixedKeepAlivePolicy(10), "fixed-10min"),
+    _oracle_pair(DictHybridFunctionPolicy, "hybrid-function"),
+    _oracle_pair(DictHybridApplicationPolicy, "hybrid-application"),
+    _oracle_pair(DictSpesPolicy, "spes"),
+    _oracle_pair(DictFaasCachePolicy, "faascache", capacity=15),
+    _oracle_pair(DictDefusePolicy, "defuse"),
+    _oracle_pair(DictLcsPolicy, "lcs"),
 ]
 
 #: The pairs whose members declare the function-local (``shard_safe``)

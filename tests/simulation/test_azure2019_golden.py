@@ -22,7 +22,8 @@ from pathlib import Path
 import pytest
 
 from harness import ALL_ENGINES, collect_fingerprints
-from repro.baselines import FixedKeepAlivePolicy, IndexedFixedKeepAlivePolicy
+from dict_policies import DictFixedKeepAlivePolicy
+from repro.baselines import FixedKeepAlivePolicy
 from repro.simulation import EventConfig
 from repro.traces import (
     Azure2019Config,
@@ -83,8 +84,8 @@ class TestCommittedFixtureGolden:
         split = split_trace(trace, training_days=1.0)
         fingerprints = collect_fingerprints(
             {
-                "dict": lambda: FixedKeepAlivePolicy(10),
-                "indexed": lambda: IndexedFixedKeepAlivePolicy(10),
+                "dict": lambda: DictFixedKeepAlivePolicy(10),
+                "indexed": lambda: FixedKeepAlivePolicy(10),
             },
             split,
             engines=ALL_ENGINES,

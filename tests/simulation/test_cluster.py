@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.baselines import FixedKeepAlivePolicy, IndexedFixedKeepAlivePolicy
+from dict_policies import DictFixedKeepAlivePolicy
+from repro.baselines import FixedKeepAlivePolicy
 from repro.simulation import (
     AlwaysWarmPolicy,
     ClusterModel,
@@ -125,11 +126,11 @@ class TestCapacityConstrainedRuns:
 
     def test_huge_capacity_matches_the_uncapped_run(self, split):
         uncapped = simulate_policy(
-            IndexedFixedKeepAlivePolicy(10), split.simulation, split.training,
+            FixedKeepAlivePolicy(10), split.simulation, split.training,
             warmup_minutes=0,
         )
         capped = simulate_policy(
-            IndexedFixedKeepAlivePolicy(10), split.simulation, split.training,
+            FixedKeepAlivePolicy(10), split.simulation, split.training,
             warmup_minutes=0, cluster=ClusterModel(memory_capacity=100_000, n_nodes=4),
         )
         assert capped.cluster is not None
@@ -146,14 +147,14 @@ class TestCapacityConstrainedRuns:
 
     def test_squeeze_produces_evictions_and_capacity_cold_starts(self, split):
         uncapped = simulate_policy(
-            FixedKeepAlivePolicy(10), split.simulation, split.training,
+            DictFixedKeepAlivePolicy(10), split.simulation, split.training,
             warmup_minutes=0,
         )
         squeeze = ClusterModel(
             memory_capacity=max(2, uncapped.peak_memory_usage // 3), n_nodes=2
         )
         capped = simulate_policy(
-            FixedKeepAlivePolicy(10), split.simulation, split.training,
+            DictFixedKeepAlivePolicy(10), split.simulation, split.training,
             warmup_minutes=0, cluster=squeeze,
         )
         stats = capped.cluster
@@ -187,11 +188,11 @@ class TestCapacityConstrainedRuns:
     def test_cluster_runs_are_deterministic(self, split):
         model = ClusterModel(memory_capacity=8, n_nodes=2)
         first = simulate_policy(
-            IndexedFixedKeepAlivePolicy(10), split.simulation, split.training,
+            FixedKeepAlivePolicy(10), split.simulation, split.training,
             warmup_minutes=120, cluster=model,
         )
         second = simulate_policy(
-            IndexedFixedKeepAlivePolicy(10), split.simulation, split.training,
+            FixedKeepAlivePolicy(10), split.simulation, split.training,
             warmup_minutes=120, cluster=model,
         )
         assert (

@@ -105,22 +105,22 @@ class TestWarmup:
         # Training ends with an invocation at its last minute; a 10-minute
         # keep-alive policy should still hold the instance when the
         # simulation window starts, so the first invocation is warm.
-        from repro.baselines import FixedKeepAlivePolicy
+        from dict_policies import DictFixedKeepAlivePolicy
 
         training = single_function_trace([0] * 5 + [1], name="train")
         simulation = single_function_trace([0, 0, 1], name="sim")
         result = simulate_policy(
-            FixedKeepAlivePolicy(10), simulation, training, warmup_minutes=6
+            DictFixedKeepAlivePolicy(10), simulation, training, warmup_minutes=6
         )
         assert result.per_function["f"].cold_starts == 0
 
     def test_zero_warmup_starts_cold(self):
-        from repro.baselines import FixedKeepAlivePolicy
+        from dict_policies import DictFixedKeepAlivePolicy
 
         training = single_function_trace([0] * 5 + [1], name="train")
         simulation = single_function_trace([0, 0, 1], name="sim")
         result = simulate_policy(
-            FixedKeepAlivePolicy(10), simulation, training, warmup_minutes=0
+            DictFixedKeepAlivePolicy(10), simulation, training, warmup_minutes=0
         )
         assert result.per_function["f"].cold_starts == 1
 
@@ -130,12 +130,12 @@ class TestWarmup:
             Simulator(trace, warmup_minutes=-1)
 
     def test_warmup_does_not_charge_metrics(self):
-        from repro.baselines import FixedKeepAlivePolicy
+        from dict_policies import DictFixedKeepAlivePolicy
 
         training = single_function_trace([1] * 10, name="train")
         simulation = single_function_trace([0, 0, 0], name="sim")
         result = simulate_policy(
-            FixedKeepAlivePolicy(2), simulation, training, warmup_minutes=10
+            DictFixedKeepAlivePolicy(2), simulation, training, warmup_minutes=10
         )
         # The function was never invoked during the simulation window.
         assert result.total_invocations == 0
@@ -177,7 +177,7 @@ class TestEngineEquivalence:
         self.assert_identical(AlwaysWarmPolicy, trace)
 
     def test_small_fixed_trace_with_keepalive(self):
-        from repro.baselines import FixedKeepAlivePolicy
+        from dict_policies import DictFixedKeepAlivePolicy
 
         records = [FunctionRecord(f"f{i}", "a", "o") for i in range(4)]
         counts = {
@@ -187,15 +187,15 @@ class TestEngineEquivalence:
             "f3": [1, 1, 1, 1, 1, 1, 1, 1],
         }
         trace = Trace(records, counts, TraceMetadata(name="t", duration_minutes=8))
-        self.assert_identical(lambda: FixedKeepAlivePolicy(2), trace)
+        self.assert_identical(lambda: DictFixedKeepAlivePolicy(2), trace)
 
     def test_with_warmup_and_training(self):
-        from repro.baselines import FixedKeepAlivePolicy
+        from dict_policies import DictFixedKeepAlivePolicy
 
         training = single_function_trace([0, 1, 0, 1, 1], name="train")
         simulation = single_function_trace([1, 0, 1], name="sim")
         self.assert_identical(
-            lambda: FixedKeepAlivePolicy(3), simulation, training, warmup=4
+            lambda: DictFixedKeepAlivePolicy(3), simulation, training, warmup=4
         )
 
     def test_initially_resident_unknown_to_trace(self):
@@ -205,28 +205,29 @@ class TestEngineEquivalence:
         self.assert_identical(NoKeepAlivePolicy, trace, resident={"ghost", "f"})
 
     def test_synthetic_workload_suite(self):
-        from repro.baselines import FixedKeepAlivePolicy, HybridFunctionPolicy
+        from dict_policies import DictFixedKeepAlivePolicy, DictHybridFunctionPolicy
         from repro.traces import AzureTraceGenerator, GeneratorProfile, split_trace
 
         profile = GeneratorProfile(n_functions=25, duration_days=2.0, seed=11,
                                    unseen_window_days=0.5)
         split = split_trace(AzureTraceGenerator(profile).generate(), training_days=1.5)
         for factory in (NoKeepAlivePolicy, AlwaysWarmPolicy,
-                        lambda: FixedKeepAlivePolicy(10), HybridFunctionPolicy):
+                        lambda: DictFixedKeepAlivePolicy(10), DictHybridFunctionPolicy):
             self.assert_identical(factory, split.simulation, split.training, warmup=120)
 
     def test_synthetic_workload_paper_policies(self):
         # The policies behind every headline number of the paper must also
         # round-trip through the vectorized fast paths (shared read-only
         # invocation mappings, set-diff residency updates) unchanged.
-        from repro.baselines import DefusePolicy, FaasCachePolicy
-        from repro.core import SpesPolicy
+        from dict_policies import DictDefusePolicy, DictFaasCachePolicy, DictSpesPolicy
         from repro.traces import AzureTraceGenerator, GeneratorProfile, split_trace
 
         profile = GeneratorProfile(n_functions=20, duration_days=2.0, seed=23,
                                    unseen_window_days=0.5)
         split = split_trace(AzureTraceGenerator(profile).generate(), training_days=1.5)
-        for factory in (SpesPolicy, DefusePolicy, lambda: FaasCachePolicy(capacity=5)):
+        for factory in (
+            DictSpesPolicy, DictDefusePolicy, lambda: DictFaasCachePolicy(capacity=5)
+        ):
             self.assert_identical(factory, split.simulation, split.training, warmup=120)
 
     def test_unknown_engine_rejected(self):

@@ -5,8 +5,9 @@ combination of
 
 * engine:   ``vectorized`` vs ``reference`` (the executable specification)
   vs ``event`` (sub-minute expansion layered on the vectorized loop);
-* policy:   index-native :class:`VectorizedPolicy` ports vs their unchanged
-  dict-based twins (adapted transparently by the engine).
+* policy:   the shipped index-native :class:`VectorizedPolicy` classes vs
+  their dict-stepping oracles from ``dict_policies`` (adapted transparently
+  by the engine).
 
 All runs of a (workload, policy pair) cell must produce identical
 ``deterministic_fingerprint()``\\ s — the strongest equality the result type
@@ -25,7 +26,8 @@ from harness import (
     random_cluster,
     random_split,
 )
-from repro.baselines import FixedKeepAlivePolicy, IndexedFixedKeepAlivePolicy
+from dict_policies import DictFixedKeepAlivePolicy
+from repro.baselines import FixedKeepAlivePolicy
 from repro.simulation import EventConfig
 
 FAST_SEEDS = (11,)
@@ -87,14 +89,14 @@ def test_jitter_seed_never_changes_minute_aggregates(workload):
     """Event arrival jitter affects latencies only — never the fingerprint."""
     _, split = workload
     baseline = assert_cross_engine_equivalence(
+        lambda: DictFixedKeepAlivePolicy(10),
         lambda: FixedKeepAlivePolicy(10),
-        lambda: IndexedFixedKeepAlivePolicy(10),
         split,
         events=EventConfig(seed=1),
     )
     rejittered = assert_cross_engine_equivalence(
+        lambda: DictFixedKeepAlivePolicy(10),
         lambda: FixedKeepAlivePolicy(10),
-        lambda: IndexedFixedKeepAlivePolicy(10),
         split,
         events=EventConfig(seed=2, cold_start_scale=3.0),
     )
@@ -106,3 +108,4 @@ def test_twins_share_the_policy_name(dict_factory, indexed_factory):
     # Fingerprints hash the policy name first, so twin pairs must agree on it
     # for the equality above to be meaningful rather than vacuous.
     assert dict_factory().name == indexed_factory().name
+

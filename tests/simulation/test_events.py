@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.baselines import FixedKeepAlivePolicy, IndexedFixedKeepAlivePolicy
+from dict_policies import DictFixedKeepAlivePolicy
+from repro.baselines import FixedKeepAlivePolicy
 from repro.simulation import (
     AlwaysWarmPolicy,
     ClusterModel,
@@ -120,13 +121,13 @@ class TestEventEngine:
 
     def test_minute_engines_carry_no_latency_block(self, small_split):
         result = simulate_policy(
-            FixedKeepAlivePolicy(10), small_split.simulation, warmup_minutes=0
+            DictFixedKeepAlivePolicy(10), small_split.simulation, warmup_minutes=0
         )
         assert result.latency is None
 
     def test_event_totals_match_the_trace(self, small_split):
         result = simulate_policy(
-            FixedKeepAlivePolicy(10),
+            DictFixedKeepAlivePolicy(10),
             small_split.simulation,
             warmup_minutes=0,
             engine="event",
@@ -142,7 +143,7 @@ class TestEventEngine:
     def test_same_config_reproduces_latencies_exactly(self, small_split):
         runs = [
             simulate_policy(
-                IndexedFixedKeepAlivePolicy(10),
+                FixedKeepAlivePolicy(10),
                 small_split.simulation,
                 warmup_minutes=0,
                 engine="event",
@@ -156,7 +157,7 @@ class TestEventEngine:
     def test_different_jitter_seeds_change_latencies_not_counts(self, small_split):
         results = [
             simulate_policy(
-                IndexedFixedKeepAlivePolicy(10),
+                FixedKeepAlivePolicy(10),
                 small_split.simulation,
                 warmup_minutes=0,
                 engine="event",
@@ -217,7 +218,7 @@ class TestEventEngine:
 
     def test_per_function_waits_partition_the_global_distribution(self, small_split):
         latency = simulate_policy(
-            FixedKeepAlivePolicy(10),
+            DictFixedKeepAlivePolicy(10),
             small_split.simulation,
             warmup_minutes=0,
             engine="event",
@@ -230,7 +231,7 @@ class TestEventEngine:
 
     def test_execution_time_accumulates(self, small_split):
         latency = simulate_policy(
-            FixedKeepAlivePolicy(10),
+            DictFixedKeepAlivePolicy(10),
             small_split.simulation,
             warmup_minutes=0,
             engine="event",
@@ -244,7 +245,7 @@ class TestEventEngineWithCluster:
     def test_capacity_cold_events_match_cluster_stats(self, small_split):
         cluster = ClusterModel(memory_capacity=15, n_nodes=3)
         result = simulate_policy(
-            IndexedFixedKeepAlivePolicy(30),
+            FixedKeepAlivePolicy(30),
             small_split.simulation,
             small_split.training,
             warmup_minutes=180,
@@ -261,7 +262,7 @@ class TestEventEngineWithCluster:
 
     def test_uncapped_runs_attribute_nothing_to_capacity(self, small_split):
         result = simulate_policy(
-            IndexedFixedKeepAlivePolicy(10),
+            FixedKeepAlivePolicy(10),
             small_split.simulation,
             warmup_minutes=0,
             engine="event",
@@ -275,7 +276,7 @@ class TestEventEngineWithCluster:
 class TestCpuScheduling:
     def _run(self, split, events, **kwargs):
         return simulate_policy(
-            IndexedFixedKeepAlivePolicy(10),
+            FixedKeepAlivePolicy(10),
             split.simulation,
             warmup_minutes=0,
             engine="event",
@@ -457,7 +458,7 @@ class TestBatchedCpuStage:
 
     def _run(self, split, scheduler, cluster):
         return simulate_policy(
-            IndexedFixedKeepAlivePolicy(10),
+            FixedKeepAlivePolicy(10),
             split.simulation,
             warmup_minutes=0,
             engine="event",

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from harness import POLICY_PAIRS, random_cluster
-from repro.baselines import IndexedFixedKeepAlivePolicy, LatencyAwareKeepAlivePolicy
+from repro.baselines import FixedKeepAlivePolicy, LatencyAwareKeepAlivePolicy
 from repro.scenarios import build_scenario
 from repro.simulation import (
     EventConfig,
@@ -121,7 +121,7 @@ class TestFeedbackEngineWiring:
 
     def test_feedback_run_carries_a_latency_block(self, split):
         result = simulate_policy(
-            IndexedFixedKeepAlivePolicy(10),
+            FixedKeepAlivePolicy(10),
             split.simulation,
             split.training,
             warmup_minutes=60,
@@ -133,7 +133,7 @@ class TestFeedbackEngineWiring:
     def test_feedback_hook_sees_every_minute(self, split):
         minutes = []
 
-        class Probe(IndexedFixedKeepAlivePolicy):
+        class Probe(FixedKeepAlivePolicy):
             def on_feedback(self, minute, latency_window):
                 assert isinstance(latency_window, LatencyWindow)
                 minutes.append(minute)
@@ -146,7 +146,7 @@ class TestFeedbackEngineWiring:
     def test_minute_granular_engines_never_fire_the_hook(self, split):
         fired = []
 
-        class Probe(IndexedFixedKeepAlivePolicy):
+        class Probe(FixedKeepAlivePolicy):
             def on_feedback(self, minute, latency_window):
                 fired.append(minute)
 
@@ -191,7 +191,7 @@ class TestNoOpHookEquivalence:
         cluster = random_cluster(3, split)
         fingerprints = {
             engine: simulate_policy(
-                IndexedFixedKeepAlivePolicy(10),
+                FixedKeepAlivePolicy(10),
                 split.simulation,
                 split.training,
                 warmup_minutes=120,
@@ -293,7 +293,7 @@ class TestLatencyAwareKeepAlive:
 
     def test_degrades_to_fixed_keepalive_off_the_feedback_engine(self, split):
         fixed = simulate_policy(
-            IndexedFixedKeepAlivePolicy(10),
+            FixedKeepAlivePolicy(10),
             split.simulation,
             split.training,
             warmup_minutes=120,
@@ -389,7 +389,7 @@ class TestClosedLoopOutcomes:
         )
         report = latency_rq(
             scenarios=("seasonal-mix",),
-            policies=("fixed-10min-indexed", "latency-keepalive"),
+            policies=("fixed-10min", "latency-keepalive"),
             seeds=(self.SHAPE["seed"],),
             config=config,
             streaming=True,
@@ -397,10 +397,10 @@ class TestClosedLoopOutcomes:
         stats = report["seasonal-mix"]
         assert (
             stats["latency-keepalive"].p99_ms
-            < stats["fixed-10min-indexed"].p99_ms
+            < stats["fixed-10min"].p99_ms
         )
         # ... and not by trading the whole distribution away: p95 too.
         assert (
             stats["latency-keepalive"].p95_ms
-            < stats["fixed-10min-indexed"].p95_ms
+            < stats["fixed-10min"].p95_ms
         )

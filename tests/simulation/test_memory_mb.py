@@ -22,8 +22,8 @@ import numpy as np
 import pytest
 
 from harness import ALL_ENGINES, MASK_ENGINES, random_split
-from repro.baselines import IndexedFixedKeepAlivePolicy
-from repro.core import IndexedSpesPolicy
+from repro.baselines import FixedKeepAlivePolicy
+from repro.core import SpesPolicy
 from repro.simulation import ClusterModel, simulate_policy
 from repro.simulation.memory import DEFAULT_MEMORY_MB, footprint_kb_vector
 from repro.traces import Trace, TraceSplit
@@ -70,7 +70,7 @@ def measured_split(plain_split):
 
 def run(split, *, engine="vectorized", memory_mode="unit", shards=0, cluster=None):
     return simulate_policy(
-        IndexedFixedKeepAlivePolicy(10),
+        FixedKeepAlivePolicy(10),
         split.simulation,
         split.training,
         warmup_minutes=60,
@@ -158,7 +158,7 @@ class TestMbMode:
             memory_capacity=capacity_mb, n_nodes=2, capacity_unit="mb"
         )
         result = simulate_policy(
-            IndexedSpesPolicy(),
+            SpesPolicy(),
             measured_split.simulation,
             measured_split.training,
             warmup_minutes=60,

@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.baselines import IndexedFixedKeepAlivePolicy
+from repro.baselines import FixedKeepAlivePolicy
 from repro.scenarios import build_scenario
 from repro.simulation import (
     ClusterModel,
@@ -154,7 +154,7 @@ class TestStrategies:
             "hot-shard", seed=9, n_functions=16, days=1.0, training_days=0.5
         )
         simulate_policy(
-            IndexedFixedKeepAlivePolicy(10),
+            FixedKeepAlivePolicy(10),
             workload.split.simulation,
             None,
             warmup_minutes=0,
@@ -163,7 +163,7 @@ class TestStrategies:
         assert seen == [None]
         seen.clear()
         simulate_policy(
-            IndexedFixedKeepAlivePolicy(10),
+            FixedKeepAlivePolicy(10),
             workload.split.simulation,
             workload.split.training,
             warmup_minutes=0,
@@ -197,7 +197,7 @@ class TestArbiterEdgeCases:
         trace = small_trace(series)
         model = ClusterModel(memory_capacity=2, n_nodes=1)
         result = simulate_policy(
-            IndexedFixedKeepAlivePolicy(10), trace, warmup_minutes=0, cluster=model
+            FixedKeepAlivePolicy(10), trace, warmup_minutes=0, cluster=model
         )
         assert result.peak_memory_usage == 5  # on-demand loads are uncapped
         assert result.cluster.peak_node_usage == 5
@@ -212,7 +212,7 @@ class TestArbiterEdgeCases:
         trace = small_trace(series)
         model = ClusterModel(memory_capacity=8, n_nodes=8, placement=placement)
         result = simulate_policy(
-            IndexedFixedKeepAlivePolicy(10), trace, warmup_minutes=0, cluster=model
+            FixedKeepAlivePolicy(10), trace, warmup_minutes=0, cluster=model
         )
         assert result.cluster.node_usage.shape == (5, 8)
         assert result.cluster.evictions == 0
@@ -223,7 +223,7 @@ class TestArbiterEdgeCases:
             "capacity-squeeze", seed=7, n_functions=40, days=2.0, training_days=1.0
         )
         result = simulate_policy(
-            IndexedFixedKeepAlivePolicy(30),
+            FixedKeepAlivePolicy(30),
             workload.split.simulation,
             workload.split.training,
             warmup_minutes=60,
@@ -238,7 +238,7 @@ class TestArbiterEdgeCases:
         series = {"a": [1] * 5, "b": [1] * 5}
         trace = small_trace(series)
         result = simulate_policy(
-            IndexedFixedKeepAlivePolicy(10), trace, warmup_minutes=0,
+            FixedKeepAlivePolicy(10), trace, warmup_minutes=0,
             cluster=ClusterModel(memory_capacity=4, n_nodes=1),
         )
         assert result.cluster.load_imbalance == 0.0
@@ -351,7 +351,7 @@ class TestMigration:
             workload.cluster, pressure_threshold=0.6, pressure_minutes=2
         )
         result = simulate_policy(
-            IndexedFixedKeepAlivePolicy(10),
+            FixedKeepAlivePolicy(10),
             workload.split.simulation,
             workload.split.training,
             warmup_minutes=60,
@@ -385,7 +385,7 @@ class TestHotShardScenario:
         def run(placement):
             cluster = dataclasses.replace(workload.cluster, placement=placement)
             return simulate_policy(
-                IndexedFixedKeepAlivePolicy(10),
+                FixedKeepAlivePolicy(10),
                 workload.split.simulation,
                 workload.split.training,
                 warmup_minutes=60,
@@ -431,7 +431,7 @@ class TestGoldenFingerprints:
             pressure_minutes=3,
         )
         return simulate_policy(
-            IndexedFixedKeepAlivePolicy(10),
+            FixedKeepAlivePolicy(10),
             workload.split.simulation,
             workload.split.training,
             warmup_minutes=60,
@@ -465,7 +465,7 @@ class TestCacheKeys:
 
         trace = AzureTraceGenerator(GeneratorProfile.small(seed=3)).generate()
         split = split_trace(trace, training_days=2.0)
-        spec = PolicySpec.of("fixed-10min-indexed")
+        spec = PolicySpec.of("fixed-10min")
 
         def key(cluster):
             runner = ParallelRunner({"t": split}, clusters={"t": cluster})

@@ -21,7 +21,8 @@ from harness import (
     assert_shard_equivalence,
     random_split,
 )
-from repro.baselines import FixedKeepAlivePolicy, IndexedFixedKeepAlivePolicy
+from dict_policies import DictFixedKeepAlivePolicy
+from repro.baselines import FixedKeepAlivePolicy
 from repro.core import SpesPolicy
 from repro.simulation import (
     ClusterModel,
@@ -164,13 +165,13 @@ class TestShardedEquivalence:
     def test_empty_shards_contribute_nothing(self, tiny_split):
         """More shards than functions: empty partitions merge as zeros."""
         whole = simulate_policy(
-            FixedKeepAlivePolicy(5),
+            DictFixedKeepAlivePolicy(5),
             tiny_split.simulation,
             tiny_split.training,
             warmup_minutes=60,
         )
         sharded = simulate_policy(
-            FixedKeepAlivePolicy(5),
+            DictFixedKeepAlivePolicy(5),
             tiny_split.simulation,
             tiny_split.training,
             warmup_minutes=60,
@@ -184,7 +185,7 @@ class TestShardedEquivalence:
         """Shard-by-node: n_nodes == shards, hash placement, divisible capacity."""
         cluster = ClusterModel(memory_capacity=8, n_nodes=4, placement="hash")
         assert_shard_equivalence(
-            lambda: IndexedFixedKeepAlivePolicy(10),
+            lambda: FixedKeepAlivePolicy(10),
             workload,
             shards=4,
             cluster=cluster,
@@ -211,7 +212,7 @@ class TestShardedEquivalence:
         runs = {}
         for shards in (0, 4):
             result = simulate_policy(
-                IndexedFixedKeepAlivePolicy(10),
+                FixedKeepAlivePolicy(10),
                 workload.simulation,
                 workload.training,
                 warmup_minutes=60,
@@ -261,24 +262,24 @@ class TestShardFallback:
 
     def test_reference_engine_falls_back(self, workload):
         with pytest.warns(ShardFallbackWarning, match="reference"):
-            self._run(workload, FixedKeepAlivePolicy(5), shards=2, engine="reference")
+            self._run(workload, DictFixedKeepAlivePolicy(5), shards=2, engine="reference")
 
     def test_migration_cluster_falls_back(self, workload):
         cluster = ClusterModel(
             memory_capacity=8, n_nodes=2, pressure_threshold=0.5
         )
         with pytest.warns(ShardFallbackWarning, match="migration"):
-            self._run(workload, FixedKeepAlivePolicy(5), shards=2, cluster=cluster)
+            self._run(workload, DictFixedKeepAlivePolicy(5), shards=2, cluster=cluster)
 
     def test_node_count_mismatch_falls_back(self, workload):
         cluster = ClusterModel(memory_capacity=9, n_nodes=3)
         with pytest.warns(ShardFallbackWarning):
-            self._run(workload, FixedKeepAlivePolicy(5), shards=2, cluster=cluster)
+            self._run(workload, DictFixedKeepAlivePolicy(5), shards=2, cluster=cluster)
 
     def test_indivisible_capacity_falls_back(self, workload):
         cluster = ClusterModel(memory_capacity=7, n_nodes=2)
         with pytest.warns(ShardFallbackWarning):
-            self._run(workload, FixedKeepAlivePolicy(5), shards=2, cluster=cluster)
+            self._run(workload, DictFixedKeepAlivePolicy(5), shards=2, cluster=cluster)
 
     def test_cpu_pool_without_cluster_falls_back(self, workload):
         # One node-wide pool shared by every function cannot be partitioned
@@ -287,7 +288,7 @@ class TestShardFallback:
         with pytest.warns(ShardFallbackWarning, match="CPU pool"):
             self._run(
                 workload,
-                FixedKeepAlivePolicy(5),
+                DictFixedKeepAlivePolicy(5),
                 shards=2,
                 engine="event",
                 events=events,
@@ -296,7 +297,7 @@ class TestShardFallback:
     def test_single_shard_runs_unsharded_without_warning(self, workload):
         with warnings.catch_warnings():
             warnings.simplefilter("error", ShardFallbackWarning)
-            self._run(workload, FixedKeepAlivePolicy(5), shards=1)
+            self._run(workload, DictFixedKeepAlivePolicy(5), shards=1)
 
     def test_negative_shards_rejected(self, workload):
         with pytest.raises(ValueError):
@@ -316,14 +317,14 @@ class TestMergeShards:
         first = simulator.shard_simulator(np.arange(0, n, 2))
         second = simulator.shard_simulator(np.arange(1, n, 2))
         return (
-            first.run(FixedKeepAlivePolicy(5)),
-            second.run(FixedKeepAlivePolicy(5)),
+            first.run(DictFixedKeepAlivePolicy(5)),
+            second.run(DictFixedKeepAlivePolicy(5)),
         )
 
     def test_merge_sums_exact_totals(self, workload, halves):
         merged = SimulationResult.merge_shards(halves)
         whole = simulate_policy(
-            FixedKeepAlivePolicy(5),
+            DictFixedKeepAlivePolicy(5),
             workload.simulation,
             workload.training,
             warmup_minutes=60,
@@ -349,7 +350,7 @@ class TestMergeShards:
     def test_duration_mismatch_rejected(self, workload, tiny_split, halves):
         first, _ = halves
         other = simulate_policy(
-            FixedKeepAlivePolicy(5),
+            DictFixedKeepAlivePolicy(5),
             tiny_split.simulation,
             tiny_split.training,
             warmup_minutes=60,

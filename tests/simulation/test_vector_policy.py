@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines import FixedKeepAlivePolicy
+from dict_policies import DictFixedKeepAlivePolicy
 from repro.simulation import (
     DictPolicyAdapter,
     Simulator,
@@ -80,12 +80,12 @@ class TestDictPolicyAdapter:
             DictPolicyAdapter(CountdownPolicy())
 
     def test_adapter_impersonates_the_wrapped_policy(self):
-        wrapped = FixedKeepAlivePolicy(10)
+        wrapped = DictFixedKeepAlivePolicy(10)
         adapter = DictPolicyAdapter(wrapped)
         assert adapter.name == "fixed-10min"
 
     def test_adapter_tracks_extra_resident_ids(self):
-        class ForeignPolicy(FixedKeepAlivePolicy):
+        class ForeignPolicy(DictFixedKeepAlivePolicy):
             def on_minute(self, minute, invocations):
                 return super().on_minute(minute, invocations) | {"ghost"}
 
@@ -98,7 +98,7 @@ class TestDictPolicyAdapter:
         assert "ghost" in adapter.extra_resident
 
     def test_extra_ids_are_charged_like_the_reference_engine(self):
-        class ForeignPolicy(FixedKeepAlivePolicy):
+        class ForeignPolicy(DictFixedKeepAlivePolicy):
             def on_minute(self, minute, invocations):
                 return super().on_minute(minute, invocations) | {"ghost"}
 

@@ -59,16 +59,7 @@ class RecentDictPolicy(ProvisioningPolicy):
         return recent | {"ghost"}
 
 
-def _registry_factories() -> dict:
-    """Every distinct registry factory (the ``-indexed`` aliases share one)."""
-    unique: dict = {}
-    for name, factory in POLICY_REGISTRY.items():
-        if all(factory is not seen for seen in unique.values()):
-            unique[name] = factory
-    return unique
-
-
-POLICIES = {**_registry_factories(), "third-party-dict": RecentDictPolicy}
+POLICIES = {**POLICY_REGISTRY, "third-party-dict": RecentDictPolicy}
 #: 1440 is the default horizon; 3000 exceeds the 2160-minute training window.
 WARMUPS = (1, 120, 1440, 3000)
 

@@ -237,7 +237,7 @@ class TestStreamingAndFeedbackCommands:
 
     def test_streaming_feedback_sweep_runs_end_to_end(self, capsys):
         arguments = self.TINY_SWEEP + [
-            "--policies", "fixed-10min-indexed", "latency-keepalive",
+            "--policies", "fixed-10min", "latency-keepalive",
             "--scenario", "load-ramp",
             "--engine", "event-feedback", "--streaming",
         ]
@@ -270,7 +270,7 @@ class TestStreamingAndFeedbackCommands:
 
     def test_sweep_with_cores_reports_slowdown_columns(self, capsys):
         arguments = self.TINY_SWEEP + [
-            "--policies", "fixed-10min-indexed",
+            "--policies", "fixed-10min",
             "--scenario", "cpu-starved",
             "--engine", "event",
             "--cores", "2", "--scheduler", "srtf", "--slo-ms", "500",

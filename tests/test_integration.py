@@ -9,7 +9,7 @@ the benchmark harness instead.
 
 import pytest
 
-from repro.core import IndexedSpesPolicy, SpesConfig, SpesPolicy
+from repro.core import SpesConfig, SpesPolicy
 from repro.core.categories import FunctionCategory
 from repro.experiments import ExperimentConfig, ExperimentSuite
 from repro.simulation import simulate_policy
@@ -38,7 +38,7 @@ def results(suite):
 def spes_policy(suite):
     """A SPES instance prepared by a direct run over the suite's workload."""
     split = suite.traces()[suite.trace_key(SEED)]
-    policy = IndexedSpesPolicy(suite.config.spes_config)
+    policy = SpesPolicy(suite.config.spes_config)
     simulate_policy(
         policy, split.simulation, split.training, warmup_minutes=suite.config.warmup_minutes
     )

@@ -269,11 +269,11 @@ class TestAzure2019Scenarios:
             warmup_minutes=60,
         )
         suite = ExperimentSuite(
-            config=config, seeds=[5], policies=("fixed-10min-indexed",),
+            config=config, seeds=[5], policies=("fixed-10min",),
             scenario="azure2019-fixture", engine="event",
         )
         outcome = suite.run()
-        result = outcome.results[5]["fixed-10min-indexed"]
+        result = outcome.results[5]["fixed-10min"]
         assert result.latency is not None
         assert "lat_p50_ms" in outcome.seed_table(5).render()
 
@@ -286,12 +286,12 @@ class TestAzure2019Scenarios:
             warmup_minutes=60,
         )
         suite = ExperimentSuite(
-            config=config, seeds=[3], policies=("fixed-10min-indexed",),
+            config=config, seeds=[3], policies=("fixed-10min",),
             scenario="azure2019",
             scenario_params={"azure_dir": str(tmp_path)},
         )
         outcome = suite.run()
-        assert outcome.results[3]["fixed-10min-indexed"] is not None
+        assert outcome.results[3]["fixed-10min"] is not None
 
 
 class TestEventEngineRegression:
@@ -323,12 +323,12 @@ class TestEventEngineRegression:
     }
 
     def _run(self, name, engine="event"):
-        from repro.baselines import IndexedFixedKeepAlivePolicy
+        from repro.baselines import FixedKeepAlivePolicy
         from repro.simulation import simulate_policy
 
         workload = build_scenario(name, **self.SHAPE)
         return simulate_policy(
-            IndexedFixedKeepAlivePolicy(10),
+            FixedKeepAlivePolicy(10),
             workload.split.simulation,
             workload.split.training,
             warmup_minutes=60,
@@ -397,11 +397,11 @@ class TestEventEngineRegression:
     def test_scenario_duration_model_shifts_the_latency_distribution(self):
         scaled = self._run("capacity-squeeze").latency  # cold_start_scale 2.0
         base = build_scenario("capacity-squeeze", **self.SHAPE)
-        from repro.baselines import IndexedFixedKeepAlivePolicy
+        from repro.baselines import FixedKeepAlivePolicy
         from repro.simulation import EventConfig, simulate_policy
 
         unscaled = simulate_policy(
-            IndexedFixedKeepAlivePolicy(10),
+            FixedKeepAlivePolicy(10),
             base.split.simulation,
             base.split.training,
             warmup_minutes=60,
@@ -512,11 +512,11 @@ class TestSuiteIntegration:
             warmup_minutes=60,
         )
         suite = ExperimentSuite(
-            config=config, seeds=[9], policies=("fixed-10min-indexed",),
+            config=config, seeds=[9], policies=("fixed-10min",),
             scenario="cpu-starved", engine="event",
         )
         outcome = suite.run()
-        latency = outcome.results[9]["fixed-10min-indexed"].latency
+        latency = outcome.results[9]["fixed-10min"].latency
         assert latency.cpu_scheduled_events == latency.total_events
         assert latency.slo_ms == 1000.0  # the scenario default
         assert "slowdown_p50" in outcome.seed_table(9).render()
@@ -631,14 +631,14 @@ class TestSuiteIntegration:
             warmup_minutes=60,
         )
         kwargs = dict(
-            config=config, seeds=[5], policies=("fixed-10min-indexed",),
+            config=config, seeds=[5], policies=("fixed-10min",),
             scenario="load-ramp", engine="event-feedback", streaming=True,
         )
         first = ExperimentSuite(**kwargs).run()
         second = ExperimentSuite(**kwargs).run()
         assert (
-            first.results[5]["fixed-10min-indexed"].deterministic_fingerprint()
-            == second.results[5]["fixed-10min-indexed"].deterministic_fingerprint()
+            first.results[5]["fixed-10min"].deterministic_fingerprint()
+            == second.results[5]["fixed-10min"].deterministic_fingerprint()
         )
 
     def test_streaming_mode_withholds_the_training_window(self):
@@ -647,7 +647,7 @@ class TestSuiteIntegration:
             warmup_minutes=60,
         )
         kwargs = dict(
-            config=config, seeds=[5], policies=("hybrid-function-indexed",),
+            config=config, seeds=[5], policies=("hybrid-function",),
             scenario="load-ramp",
         )
         trained = ExperimentSuite(**kwargs).run()
@@ -655,8 +655,8 @@ class TestSuiteIntegration:
         # The histogram policy's offline phase (and warm-up replay) must be
         # gone: a policy entering cold produces different decisions.
         assert (
-            trained.results[5]["hybrid-function-indexed"].deterministic_fingerprint()
-            != streaming.results[5]["hybrid-function-indexed"].deterministic_fingerprint()
+            trained.results[5]["hybrid-function"].deterministic_fingerprint()
+            != streaming.results[5]["hybrid-function"].deterministic_fingerprint()
         )
 
     def test_streaming_cells_cache_separately(self, tmp_path):
@@ -665,7 +665,7 @@ class TestSuiteIntegration:
             warmup_minutes=60,
         )
         kwargs = dict(
-            config=config, seeds=[5], policies=("fixed-10min-indexed",),
+            config=config, seeds=[5], policies=("fixed-10min",),
             scenario="load-ramp", cache_dir=tmp_path,
         )
         ExperimentSuite(**kwargs).run()
@@ -701,7 +701,7 @@ class TestRq6Report:
         )
         report = slowdown_rq(
             scenarios=("azure2019-fixture",),
-            policies=("fixed-10min-indexed",),
+            policies=("fixed-10min",),
             schedulers=("fifo", "srtf"),
             cores=(1,),
             seeds=(5,),
@@ -710,8 +710,8 @@ class TestRq6Report:
         )
         cells = report["azure2019-fixture"]
         assert set(cells) == {
-            ("fixed-10min-indexed", "fifo", 1),
-            ("fixed-10min-indexed", "srtf", 1),
+            ("fixed-10min", "fifo", 1),
+            ("fixed-10min", "srtf", 1),
         }
         for stats in cells.values():
             assert stats.cpu_scheduled_events > 0
