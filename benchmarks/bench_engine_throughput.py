@@ -60,10 +60,36 @@ def throughput_split():
     return suite.traces()[suite.trace_key(THROUGHPUT_CONFIG.seed)]
 
 
-def _sweep_seconds(split, engine: str) -> float:
+def _listening(factory):
+    """``factory`` with a no-op ``on_feedback`` override on its policy.
+
+    The override alone makes the event engine run the full feedback loop —
+    window bookkeeping plus one hook call per minute — without changing a
+    single decision.
+    """
+
+    def build():
+        policy = factory()
+        policy.__class__ = type(
+            f"Listening{type(policy).__name__}",
+            (type(policy),),
+            {"on_feedback": lambda self, minute, latency_window: None},
+        )
+        return policy
+
+    return build
+
+
+#: The engine-bound sweep with every policy listening to the feedback loop.
+LISTENING_POLICIES = tuple(
+    (name, _listening(factory)) for name, factory in ENGINE_BOUND_POLICIES
+)
+
+
+def _sweep_seconds(split, engine: str, policies=ENGINE_BOUND_POLICIES) -> float:
     """Wall-clock of one policy sweep (all engine-bound policies) per engine."""
     started = time.perf_counter()
-    for _, factory in ENGINE_BOUND_POLICIES:
+    for _, factory in policies:
         simulator = Simulator(split.simulation, warmup_minutes=0, engine=engine)
         simulator.run(factory())
     return time.perf_counter() - started
@@ -315,12 +341,14 @@ def test_event_cpu_engine_throughput(throughput_split, output_dir):
 def test_feedback_engine_overhead(throughput_split, output_dir):
     """Cost of closing the latency feedback loop (PR 5 criterion).
 
-    The ``event-feedback`` engine adds, per minute, the rolling-window
-    bookkeeping (aggregate, expire, snapshot) and one ``on_feedback`` call.
-    The bench measures all event-capable engines on the same engine-bound
-    sweep, plus one end-to-end run of the latency-aware consumer, and
-    publishes the consolidated ``BENCH_pr5.json`` artifact: the ``engines``
-    rows feed ``compare_bench.py``'s absolute throughput floor for
+    For a policy that overrides ``on_feedback``, the ``event`` engine adds,
+    per minute, the rolling-window bookkeeping (aggregate, expire, snapshot)
+    and one hook call.  The bench measures the engine-bound sweep on
+    ``vectorized`` and ``event``, and once more on ``event`` with every
+    policy overriding the hook as a no-op (the ``event-feedback`` row), plus
+    one end-to-end run of the latency-aware consumer.  It publishes the
+    consolidated ``BENCH_pr5.json`` artifact: the ``engines`` rows feed
+    ``compare_bench.py``'s absolute throughput floor for
     ``engine/event-feedback``, and the ``feedback`` block records the
     relative overhead ratios for inspection.
     """
@@ -330,29 +358,34 @@ def test_feedback_engine_overhead(throughput_split, output_dir):
     minutes = split.simulation.duration_minutes
     sweep_minutes = minutes * len(ENGINE_BOUND_POLICIES)
 
-    engines = ("vectorized", "event", "event-feedback")
-    for engine in engines:  # warm imports, index, jitter machinery
-        _sweep_seconds(split, engine)
+    sweeps = {
+        "vectorized": ("vectorized", ENGINE_BOUND_POLICIES),
+        "event": ("event", ENGINE_BOUND_POLICIES),
+        "event-feedback": ("event", LISTENING_POLICIES),
+    }
+    engines = tuple(sweeps)
+    for engine, policies in sweeps.values():  # warm imports, index, jitter
+        _sweep_seconds(split, engine, policies)
     seconds = {
-        engine: min(_sweep_seconds(split, engine) for _ in range(3))
-        for engine in engines
+        row: min(_sweep_seconds(split, *sweeps[row]) for _ in range(3))
+        for row in engines
     }
 
     # The no-op-hook guarantee, asserted on the bench workload itself.
     event = Simulator(split.simulation, warmup_minutes=0, engine="event").run(
         FixedKeepAlivePolicy(10)
     )
-    feedback = Simulator(
-        split.simulation, warmup_minutes=0, engine="event-feedback"
-    ).run(FixedKeepAlivePolicy(10))
+    feedback = Simulator(split.simulation, warmup_minutes=0, engine="event").run(
+        _listening(lambda: FixedKeepAlivePolicy(10))()
+    )
     assert event.deterministic_fingerprint() == feedback.deterministic_fingerprint()
     assert feedback.latency is not None
 
     # One consumer run: the policy that actually reads the window.
     started = time.perf_counter()
-    consumer = Simulator(
-        split.simulation, warmup_minutes=0, engine="event-feedback"
-    ).run(LatencyAwareKeepAlivePolicy())
+    consumer = Simulator(split.simulation, warmup_minutes=0, engine="event").run(
+        LatencyAwareKeepAlivePolicy()
+    )
     consumer_seconds = time.perf_counter() - started
 
     payload = {

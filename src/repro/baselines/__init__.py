@@ -13,7 +13,7 @@
   (ICDCN'23), included as an extra comparator beyond the paper's baseline set.
 * :class:`LatencyAwareKeepAlivePolicy` -- keep-alive horizons scaled by each
   function's observed cold-start latency; the first consumer of the
-  ``event-feedback`` engine's rolling latency window.
+  ``event`` engine's rolling latency window.
 
 Every policy above is a
 :class:`~repro.simulation.vector_policy.VectorizedPolicy`: it decides over the

@@ -1,13 +1,13 @@
-"""Latency-aware keep-alive: the first consumer of the feedback engine.
+"""Latency-aware keep-alive: the first consumer of the latency feedback loop.
 
 Every policy shipped before this module decides from invocation *counts*;
 the cost of being wrong — how long a cold start actually stalls requests —
-never reaches it.  The ``event-feedback`` engine closes that loop by
-streaming a rolling per-function latency window
-(:class:`~repro.simulation.events.LatencyWindow`) into
-:meth:`~repro.simulation.policy_base.ProvisioningPolicy.on_feedback` between
-minutes, and :class:`LatencyAwareKeepAlivePolicy` is the reference consumer:
-a fixed keep-alive whose horizon is no longer fixed, but proportional to each
+never reaches it.  The ``event`` engine closes that loop by streaming a
+rolling per-function latency window (:class:`~repro.simulation.events.LatencyWindow`)
+between minutes into every policy that overrides
+:meth:`~repro.simulation.policy_base.ProvisioningPolicy.on_feedback`, and
+:class:`LatencyAwareKeepAlivePolicy` is the reference consumer: a fixed
+keep-alive whose horizon is no longer fixed, but proportional to each
 function's *observed* cold-start cost.
 
 The adaptation rule targets the *tail* of the per-event cold-start-wait
@@ -31,7 +31,7 @@ current window keep their last learned horizon — resetting them to the base
 would re-expose exactly the functions the extended horizon just made warm,
 oscillating between cold and warm.
 
-Off the feedback engine the hook never fires and the policy degrades to an
+Off the event engine the hook never fires and the policy degrades to an
 exact fixed keep-alive at the base horizon, which the no-op equivalence
 tests pin down.
 """

@@ -21,13 +21,12 @@ Commands
     the whole sweep in capacity-constrained cluster mode and report
     evictions, migrations and capacity-induced cold starts; ``--placement``
     swaps the cluster's function-to-node strategy).  With ``--engine event``
-    every cell runs
-    on the sub-minute event engine and the tables report p50/p95/p99
-    cold-start latency alongside the paper's count-based metrics; ``--engine
-    event-feedback`` additionally streams the rolling latency window into
-    every policy's feedback hook.  With ``--streaming`` policies receive no
+    every cell runs on the sub-minute event engine and the tables report
+    p50/p95/p99 cold-start latency alongside the paper's count-based
+    metrics; policies that override the feedback hook also receive the
+    rolling latency window.  With ``--streaming`` policies receive no
     training window at all and must adapt online.  With ``--cores`` (event
-    engines only) every node runs a finite CPU pool and the latency tables
+    engine only) every node runs a finite CPU pool and the latency tables
     add slowdown and SLO columns; ``--scheduler`` picks the intra-node
     discipline (fifo, rr, srtf, las) and ``--slo-ms`` sets the per-request
     deadline.  ``--manifest PATH`` records a run manifest after the sweep
@@ -48,7 +47,7 @@ Commands
 ``latency-rq``
     The RQ5 report: per continuous-drift scenario, the cold-start latency
     tail (p50/p95/p99/max) of the feedback consumer vs. its open-loop twin,
-    from streaming ``event-feedback`` sweeps.
+    from streaming ``event``-engine sweeps.
 ``slowdown-rq``
     The RQ6 report: per CPU-contention scenario, the per-invocation slowdown
     (p50/p99) and SLO-violation rate of each policy × scheduler × cores
@@ -94,6 +93,7 @@ from repro.experiments.rq4_ablation import (
     correlation_ablation,
 )
 from repro.metrics.summary import build_comparison
+from repro.simulation import ENGINE_IMPLEMENTATIONS, MEMORY_MODES, scheduler_names
 from repro.traces import AzureTraceGenerator
 
 
@@ -498,7 +498,7 @@ def _command_latency_rq(args: argparse.Namespace) -> int:
     print(
         f"\nlatency-rq: {len(args.scenarios)} scenario(s) x "
         f"{len(args.policies)} policies x {len(args.seeds)} seed(s), "
-        f"engine event-feedback, {mode}"
+        f"engine event, {mode}"
     )
     return 0
 
@@ -652,13 +652,13 @@ def _add_sweep_workload_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--engine",
-        choices=("vectorized", "reference", "event", "event-feedback"),
+        choices=ENGINE_IMPLEMENTATIONS,
         default="vectorized",
         help=(
             "simulation engine; 'event' expands minutes into timestamped "
-            "invocation events and reports cold-start latency percentiles; "
-            "'event-feedback' additionally streams the rolling latency "
-            "window into every policy's on_feedback hook"
+            "invocation events, reports cold-start latency percentiles and "
+            "streams the rolling latency window into every policy that "
+            "overrides on_feedback"
         ),
     )
     parser.add_argument(
@@ -724,13 +724,13 @@ def _add_sweep_workload_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         help=(
             "finite CPU cores per node for the intra-node scheduling stage "
-            "(event engines only); latency tables gain slowdown and SLO "
+            "(event engine only); latency tables gain slowdown and SLO "
             "columns.  Unset, invocations never queue for CPU"
         ),
     )
     parser.add_argument(
         "--scheduler",
-        choices=("fifo", "rr", "srtf", "las"),
+        choices=scheduler_names(),
         default=None,
         help="intra-node CPU scheduling discipline (requires --cores; default fifo)",
     )
@@ -739,13 +739,13 @@ def _add_sweep_workload_arguments(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         help=(
-            "per-request latency SLO in milliseconds; event engines count "
+            "per-request latency SLO in milliseconds; the event engine counts "
             "invocations whose sojourn time exceeds it"
         ),
     )
     parser.add_argument(
         "--memory-mode",
-        choices=("unit", "mb"),
+        choices=MEMORY_MODES,
         default="unit",
         help=(
             "memory accounting: 'unit' is the paper's abstract one-unit-per-"
@@ -910,7 +910,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     results.add_argument(
         "--memory-mode",
-        choices=("unit", "mb"),
+        choices=MEMORY_MODES,
         default="mb",
         help=(
             "memory accounting for the RQ1-RQ4 runs; 'mb' (default) adds the "
@@ -1021,7 +1021,7 @@ def build_parser() -> argparse.ArgumentParser:
     slowdown_rq.add_argument(
         "--schedulers",
         nargs="+",
-        choices=("fifo", "rr", "srtf", "las"),
+        choices=scheduler_names(),
         default=["fifo", "srtf"],
         help="intra-node CPU disciplines to sweep (default: fifo vs. srtf)",
     )

@@ -57,11 +57,11 @@ from repro.simulation import (
     Simulator,
 )
 from repro.simulation.engine import ShardFallbackWarning
+from repro.simulation.policy_base import listens_to_feedback
 from repro.simulation.vector_policy import AlwaysWarmPolicy, NoKeepAlivePolicy
 from repro.simulation.sharding import shard_assignment, shard_fallback_reason
 from repro.simulation.spec import (
     ENGINE_VERSION,
-    EVENT_ENGINES,
     RunSpec,
     canonical_value as _canonical,
     content_digest as _digest,
@@ -97,7 +97,7 @@ POLICY_REGISTRY: Dict[str, Callable[..., ProvisioningPolicy]] = {
     "lcs": LcsPolicy,
     "no-keepalive": NoKeepAlivePolicy,
     "always-warm": AlwaysWarmPolicy,
-    # Latency-aware keep-alive: consumes the feedback engine's rolling window.
+    # Latency-aware keep-alive: consumes the event engine's rolling window.
     "latency-keepalive": LatencyAwareKeepAlivePolicy,
 }
 
@@ -374,15 +374,15 @@ class ParallelRunner:
         cell's cache key.
     engine:
         Engine implementation every cell runs on (``"vectorized"`` default;
-        ``"event"``/``"event-feedback"`` additionally collect per-event
-        latency distributions).  Part of every cell's cache key: the engines
-        are fingerprint-equivalent for no-op-hook policies, but cached event
-        results carry latency blocks that vectorized runs must not serve —
-        and feedback runs of latency-aware policies are different
+        ``"event"`` additionally collects per-event latency distributions).
+        Part of every cell's cache key: the engines are
+        fingerprint-equivalent for policies that keep the default hook, but
+        cached event results carry latency blocks that vectorized runs must
+        not serve — and event runs of latency-aware policies are different
         simulations outright.
     events:
         Optional per-trace-key :class:`~repro.simulation.events.EventConfig`
-        mapping for the event engines (e.g. scenario-prescribed duration
+        mapping for the event engine (e.g. scenario-prescribed duration
         scaling, per-seed jitter seeds, feedback-window horizons).  Keys
         without an entry use the defaults.  Ignored by the minute-granular
         engines.
@@ -530,11 +530,13 @@ class ParallelRunner:
 
         Derived from the resolved spec's canonical serialization (see
         :meth:`RunSpec.cache_key_parts` for the exact — legacy-stable —
-        part order).
+        part order).  On the event engine the policy is built (construction
+        only) to learn whether it listens to the latency feedback.
         """
         fingerprints = self.trace_fingerprints()
+        feedback = self.engine == "event" and listens_to_feedback(cell.spec.build(cell.seed))
         return self.cell_run_spec(cell.trace_key).cache_key(
-            fingerprints[cell.trace_key], cell.spec, cell.seed
+            fingerprints[cell.trace_key], cell.spec, cell.seed, feedback
         )
 
     def _cell_cluster(self, trace_key: str) -> ClusterModel | None:
@@ -542,8 +544,8 @@ class ParallelRunner:
         return self.clusters.get(trace_key, self.spec.cluster)
 
     def _cell_events(self, trace_key: str) -> EventConfig | None:
-        """The event config a cell runs with (None off the event engines)."""
-        if self.engine not in EVENT_ENGINES:
+        """The event config a cell runs with (None off the event engine)."""
+        if self.engine != "event":
             return None
         return self.events.get(trace_key) or self.spec.events or EventConfig()
 

@@ -292,7 +292,7 @@ def generate_results(config: ResultsConfig | None = None, echo: bool = False) ->
     # ------------------------------------------------------------------ #
     # RQ5: latency tail, feedback vs. open loop, on this workload source.
     # ------------------------------------------------------------------ #
-    _progress("RQ5 latency tail (event-feedback engine)", echo)
+    _progress("RQ5 latency tail (event engine)", echo)
     rq5_report = latency_rq(
         scenarios=(scenario,),
         seeds=seeds,
@@ -306,8 +306,9 @@ def generate_results(config: ResultsConfig | None = None, echo: bool = False) ->
         "",
         latency_rq_table(rq5_report).to_markdown(float_format="{:.1f}"),
         "",
-        "_Streaming evaluation on the `event-feedback` engine: policies "
-        "receive no training window and adapt online._",
+        "_Streaming evaluation on the `event` engine: policies receive no "
+        "training window and adapt online; those that override `on_feedback` "
+        "also receive the rolling latency window._",
     ]
     sections.append("\n".join(rq5_parts).rstrip())
 

@@ -2,11 +2,11 @@
 
 The minute-granular RQs (1–4) count cold starts; this module asks the
 production question behind the count — how long requests actually waited —
-and whether a policy that *sees* those waits (through the ``event-feedback``
-engine's rolling :class:`~repro.simulation.events.LatencyWindow`) beats the
-open-loop policies that don't.
+and whether a policy that *sees* those waits (it overrides ``on_feedback``
+and so receives the ``event`` engine's rolling
+:class:`~repro.simulation.events.LatencyWindow`) beats the open-loop ones.
 
-The report runs one streaming event-feedback sweep per continuous-drift
+The report runs one streaming event-engine sweep per continuous-drift
 scenario and tabulates, per ``(scenario, policy)``, the p50/p95/p99/max of
 the pooled cold-start-wait distribution (merged across seeds with
 :meth:`~repro.simulation.results.LatencyStats.merge`, so the percentiles are
@@ -54,7 +54,7 @@ def latency_rq(
     """Run the per-scenario feedback sweeps and pool latency across seeds.
 
     Returns ``{scenario: {policy: merged LatencyStats}}``.  Every sweep runs
-    on the ``event-feedback`` engine; with ``streaming=True`` (default)
+    on the ``event`` engine; with ``streaming=True`` (default)
     policies additionally receive zero training window, the evaluation
     regime the continuous-drift scenarios are built for.
     """
@@ -69,7 +69,7 @@ def latency_rq(
             cache_dir=cache_dir,
             scenario=scenario,
             scenario_params=scenario_params,
-            engine="event-feedback",
+            engine="event",
             streaming=streaming,
         )
         outcome = suite.run()

@@ -39,7 +39,7 @@ from repro.experiments.parallel import (
 )
 from repro.metrics.summary import ComparisonTable
 from repro.simulation import EventConfig, LatencyStats, SimulationResult
-from repro.simulation.spec import EVENT_ENGINES, RunSpec, content_digest
+from repro.simulation.spec import RunSpec, content_digest
 from repro.traces import AzureTraceGenerator, GeneratorProfile, TraceSplit, split_trace
 
 __all__ = ["ExperimentConfig", "ExperimentSuite", "SuiteResult", "DEFAULT_SUITE_POLICIES"]
@@ -375,11 +375,10 @@ class ExperimentSuite:
         starts into latency distributions: each seed's workload gets an
         :class:`~repro.simulation.events.EventConfig` (the scenario's when a
         scenario is set, defaults keyed to the seed otherwise) and the
-        result tables grow p50/p95/p99 cold-start latency columns.
-        ``"event-feedback"`` additionally streams the rolling latency window
-        into every policy's ``on_feedback`` hook between minutes — a no-op
-        for the classic policies, the adaptation signal for latency-aware
-        ones.
+        result tables grow p50/p95/p99 cold-start latency columns.  It
+        also streams the rolling latency window between minutes into every
+        policy that overrides ``on_feedback`` — the adaptation signal for
+        latency-aware policies; the classic policies never see it.
     streaming:
         When True, the sweep runs in streaming evaluation mode: policies
         receive *zero* training window (no offline phase input, no warm-up
@@ -397,9 +396,9 @@ class ExperimentSuite:
     shard_placement:
         Placement strategy deriving the function→shard partition.
     cores:
-        Optional per-node core count: enables the event engines' intra-node
+        Optional per-node core count: enables the event engine's intra-node
         CPU stage (see :class:`~repro.simulation.scheduling.CpuConfig`),
-        overriding any scenario-prescribed CPU config.  Requires an event
+        overriding any scenario-prescribed CPU config.  Requires the event
         engine.
     scheduler:
         CPU scheduler name (``fifo``/``rr``/``srtf``/``las``) for the core
@@ -467,12 +466,11 @@ class ExperimentSuite:
         self.shard_placement = spec.shard_placement
         # The CPU/SLO knobs stay suite-level: they are per-seed *overlays*
         # folded into each workload's EventConfig, not run-shape fields.
-        if (cores is not None or scheduler is not None or slo_ms is not None) and (
-            self.engine not in EVENT_ENGINES
-        ):
+        cpu_knobs = (cores, scheduler, slo_ms)
+        if self.engine != "event" and any(knob is not None for knob in cpu_knobs):
             raise ValueError(
                 "cores/scheduler/slo_ms configure the event layer's CPU stage "
-                f"and require an event engine, not {self.engine!r}"
+                f"and require the event engine, not {self.engine!r}"
             )
         if scheduler is not None and cores is None:
             raise ValueError("scheduler requires cores (the pool it schedules)")
@@ -612,7 +610,7 @@ class ExperimentSuite:
                 workers=self.workers,
                 cache_dir=self.cache_dir,
                 clusters=self._clusters or None,
-                events=self._events if self.engine in EVENT_ENGINES else None,
+                events=self._events if self.engine == "event" else None,
                 spec=self.spec,
             )
         return self._runner

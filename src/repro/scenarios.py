@@ -81,7 +81,7 @@ Built-in catalog
     is the scenario CI smoke-sweeps.
 ``cpu-starved``
     Dense heavyweight HTTP traffic on a deliberately small per-node core
-    pool (the event engines' intra-node CPU stage): even well-provisioned
+    pool (the event engine's intra-node CPU stage): even well-provisioned
     functions queue for CPU, so slowdown and SLO violations — not just
     cold starts — separate the policies and schedulers.
 ``long-duration-mix``
@@ -92,8 +92,8 @@ Built-in catalog
 The three continuous-drift scenarios are the intended companions of the
 streaming evaluation mode (``ExperimentSuite(streaming=True)`` /
 ``sweep --streaming``), where policies receive no training window at all
-and must adapt online — e.g. from the ``event-feedback`` engine's rolling
-latency window.
+and must adapt online — e.g. from the rolling latency window the ``event``
+engine streams into policies that override ``on_feedback``.
 
 Every scenario workload can also run under the sharded execution mode
 (``sweep --shards N``): the function population splits into per-node
@@ -177,19 +177,19 @@ class ScenarioWorkload:
 
         Starting from ``base`` (or the defaults) with ``overrides`` applied,
         the scenario's prescribed cluster model is attached, and its event
-        configuration too when the resulting spec runs an event engine
+        configuration too when the resulting spec runs the event engine
         (minute-granular engines take no event config, matching how the
         experiment suite wires scenario workloads).  The returned spec is
         validated, so e.g. a reference-engine override against a cluster
         scenario fails here with the shared message instead of mid-run.
         """
-        from repro.simulation.spec import EVENT_ENGINES, RunSpec
+        from repro.simulation.spec import RunSpec
 
         spec = base if base is not None else RunSpec()
         engine = overrides.get("engine", spec.engine)
         return spec.override(
             cluster=self.cluster,
-            events=self.events if engine in EVENT_ENGINES else None,
+            events=self.events if engine == "event" else None,
             **overrides,
         )
 

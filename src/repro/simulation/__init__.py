@@ -55,7 +55,6 @@ from repro.simulation.spec import (
     DEFAULT_WARMUP_MINUTES,
     ENGINE_IMPLEMENTATIONS,
     ENGINE_VERSION,
-    EVENT_ENGINES,
     MEMORY_MODES,
     RunSpec,
     canonical_value,
@@ -101,7 +100,6 @@ __all__ = [
     "content_digest",
     "ENGINE_IMPLEMENTATIONS",
     "ENGINE_VERSION",
-    "EVENT_ENGINES",
     "MEMORY_MODES",
     "DEFAULT_WARMUP_MINUTES",
     "FunctionStats",

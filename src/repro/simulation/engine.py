@@ -13,7 +13,7 @@ This matches the accounting of §II-B/§V-A: one memory unit per loaded
 instance-minute, one WMT unit per loaded-but-idle instance-minute, one cold
 start per invoked-while-absent minute.
 
-Two interchangeable implementations of this contract exist:
+Three interchangeable implementations of this contract exist:
 
 ``vectorized`` (the default)
     Residency and accounting run on numpy boolean masks over function
@@ -29,7 +29,7 @@ Two interchangeable implementations of this contract exist:
     arrays and handed to the
     :class:`~repro.simulation.memory.MemoryAccountant` in one batch.
 
-    Only this engine supports the optional capacity-constrained mode: with a
+    This engine and ``event`` support the capacity-constrained mode: with a
     :class:`~repro.simulation.cluster.ClusterModel`, the policy's declared
     residency is *proposed* to an eviction arbiter that admits it under a
     (possibly sharded) memory cap, counting forced evictions and
@@ -46,26 +46,22 @@ Two interchangeable implementations of this contract exist:
     :mod:`repro.simulation.events` hooked in: every minute bucket is
     expanded into timestamped invocation events (seeded arrival jitter,
     per-function duration profiles) and per-event cold-start waits are
-    recorded into :class:`~repro.simulation.results.LatencyStats`.  Because
-    the event layer only *observes* the vectorized loop, an event run's
-    minute-granular outputs — and therefore its deterministic fingerprint —
-    are identical to a vectorized run's; it adds the latency distribution on
-    top.  Supports the cluster mode.
+    recorded into :class:`~repro.simulation.results.LatencyStats`.  For a
+    policy that keeps the default ``on_feedback``, the event layer only
+    *observes* the vectorized loop, so the run's minute-granular outputs —
+    and therefore its deterministic fingerprint — are identical to a
+    vectorized run's; it adds the latency distribution on top.  Supports the
+    cluster mode.
 
-``event-feedback``
-    The event engine with the observation loop *closed*: every minute, the
-    tracker's rolling per-function latency window
-    (:class:`~repro.simulation.events.LatencyWindow`, horizon configured by
-    :attr:`~repro.simulation.events.EventConfig.feedback_window_minutes`) is
-    streamed into the policy through
-    :meth:`~repro.simulation.policy_base.ProvisioningPolicy.on_feedback`
-    *before* the policy declares the next resident set.  The hook is a no-op
-    on every policy that does not override it, so pre-existing policies stay
-    fingerprint-identical to their ``event`` (and ``vectorized``) runs;
-    latency-aware policies (e.g.
-    :class:`~repro.baselines.latency_aware.LatencyAwareKeepAlivePolicy`) use
-    the window to adapt, which legitimately changes their decisions.
-    Supports the cluster mode.
+    For a policy that overrides
+    :meth:`~repro.simulation.policy_base.ProvisioningPolicy.on_feedback`,
+    the engine closes the loop: every minute, the tracker's rolling
+    per-function latency window (:class:`~repro.simulation.events.LatencyWindow`,
+    horizon :attr:`~repro.simulation.events.EventConfig.feedback_window_minutes`)
+    is streamed into the hook *before* the policy declares the next resident
+    set.  Latency-aware policies (e.g.
+    :class:`~repro.baselines.latency_aware.LatencyAwareKeepAlivePolicy`)
+    use it to adapt, which legitimately changes their decisions.
 """
 
 from __future__ import annotations
@@ -85,12 +81,11 @@ from repro.simulation.memory import (
     footprint_kb_vector,
 )
 from repro.simulation.overhead import OverheadTimer
-from repro.simulation.policy_base import ProvisioningPolicy
+from repro.simulation.policy_base import ProvisioningPolicy, listens_to_feedback
 from repro.simulation.spec import (
     DEFAULT_WARMUP_MINUTES,
     ENGINE_IMPLEMENTATIONS,
     ENGINE_VERSION,
-    EVENT_ENGINES,
     MEMORY_MODES,
     RunSpec,
 )
@@ -105,14 +100,13 @@ from repro.simulation.vector_policy import DictPolicyAdapter, VectorizedPolicy
 from repro.traces.trace import InvocationIndex, Trace
 
 # The engine catalog constants (ENGINE_IMPLEMENTATIONS, MEMORY_MODES,
-# EVENT_ENGINES, ENGINE_VERSION) historically lived here and are imported
-# from this module all over the tree; they now live in
+# ENGINE_VERSION) historically lived here and are imported from this module
+# all over the tree; they now live in
 # :mod:`repro.simulation.spec` (the validation layer must not import the
 # engine) and are re-exported above for compatibility.
 __all__ = [
     "ENGINE_IMPLEMENTATIONS",
     "MEMORY_MODES",
-    "EVENT_ENGINES",
     "ENGINE_VERSION",
     "ShardFallbackWarning",
     "Simulator",
@@ -151,8 +145,7 @@ class Simulator:
         condition.  Set to 0 to start from a completely cold platform.
     engine:
         Which implementation runs the minute loop: ``"vectorized"``
-        (default), ``"reference"``, ``"event"`` or ``"event-feedback"`` (see
-        the module docstring).
+        (default), ``"reference"`` or ``"event"`` (see the module docstring).
     cluster:
         Optional :class:`~repro.simulation.cluster.ClusterModel` imposing a
         (possibly sharded) memory cap on the resident set.  Requires a
@@ -161,8 +154,8 @@ class Simulator:
         *uncapped* setting.
     events:
         Optional :class:`~repro.simulation.events.EventConfig` for the event
-        engines (jitter seed, duration scaling, feedback-window horizon).
-        Defaults are used when an event engine runs without a config;
+        engine (jitter seed, duration scaling, feedback-window horizon).
+        Defaults are used when the event engine runs without a config;
         passing a config with a minute-granular engine is an error.
     shards:
         When >= 2, partition the function space into that many shards (see
@@ -306,10 +299,9 @@ class Simulator:
         if self.engine == "reference":
             return self._run_reference(policy, resident)
         tracker = None
-        if self.engine in EVENT_ENGINES:
-            tracker = EventTracker(
-                trace, self.events, feedback=self.engine == "event-feedback"
-            )
+        if self.engine == "event":
+            # Checked on the policy as handed in, before any adapter wraps it.
+            tracker = EventTracker(trace, self.events, feedback=listens_to_feedback(policy))
         return self._run_vectorized(policy, resident, tracker)
 
     # ------------------------------------------------------------------ #
@@ -401,11 +393,11 @@ class Simulator:
           policy's consecutive declarations, so a steady-state dict policy
           costs nothing and a churning one costs only its churn.
 
-        With an :class:`~repro.simulation.events.EventTracker` (the
-        event-granular engines), each minute is additionally expanded into
-        timestamped invocation events after cold starts are charged; the
-        tracker is a pure observer, so every minute-granular output is
-        unchanged.
+        With an :class:`~repro.simulation.events.EventTracker` (the ``event``
+        engine), each minute is additionally expanded into timestamped
+        invocation events after cold starts are charged.  The tracker only
+        observes, so every minute-granular output is unchanged unless the
+        policy listens to the latency window it streams back.
         """
         trace = self.simulation_trace
         duration = trace.duration_minutes

@@ -115,10 +115,9 @@ class EventConfig:
         every function uses ``default_profile`` unchanged — the paper's
         uniform-latency assumption, useful for controlled tests.
     feedback_window_minutes:
-        Length of the rolling latency window the ``event-feedback`` engine
-        streams into the policy between minutes (ignored by the plain
-        ``event`` engine, which never constructs a window).  The default of
-        one hour covers the keep-alive horizons of every shipped policy.
+        Length of the rolling latency window the ``event`` engine streams
+        into a policy that overrides ``on_feedback``.  The default of one
+        hour covers the keep-alive horizons of every shipped policy.
     cpu:
         Optional :class:`~repro.simulation.scheduling.CpuConfig` enabling the
         intra-node CPU stage: every event queues for one of
@@ -270,7 +269,7 @@ class LatencyWindow:
     """Rolling per-function cold-start-latency snapshot for the feedback loop.
 
     Produced by :meth:`EventTracker.feedback_window` once per minute under
-    the ``event-feedback`` engine and handed to
+    the ``event`` engine and handed to a policy that overrides
     :meth:`~repro.simulation.policy_base.ProvisioningPolicy.on_feedback`.
     Arrays live in the bound trace's function-index space, so index-native
     policies consume them without any id translation.  The snapshot is
@@ -328,14 +327,14 @@ class EventTracker:
     residency state.  :meth:`finalize` packages the observations into a
     :class:`~repro.simulation.results.LatencyStats`.
 
-    With ``feedback=True`` (the ``event-feedback`` engine) the tracker
-    additionally maintains a rolling per-function latency window: each
-    minute's waits are aggregated into a compact per-function chunk, added to
-    running window arrays, and chunks older than
+    With ``feedback=True`` (a policy that overrides ``on_feedback``) the
+    tracker additionally maintains a rolling per-function latency window:
+    each minute's waits are aggregated into a compact per-function chunk,
+    added to running window arrays, and chunks older than
     :attr:`EventConfig.feedback_window_minutes` are subtracted back out.
     :meth:`feedback_window` advances the window and snapshots it as a
-    :class:`LatencyWindow`.  The plain ``event`` engine never pays for any of
-    this: the chunk bookkeeping is skipped entirely unless feedback is on.
+    :class:`LatencyWindow`.  Without feedback the chunk bookkeeping is
+    skipped entirely.
     """
 
     def __init__(

@@ -28,12 +28,11 @@ class ProvisioningPolicy(abc.ABC):
     2. :meth:`on_minute` is called once per simulated minute with the
        invocations observed during that minute.  It returns the set of
        function ids that should be resident at the start of the *next* minute.
-    3. :meth:`on_feedback` is called — only under the ``event-feedback``
-       engine — once per minute *before* :meth:`on_minute`, streaming the
-       rolling cold-start-latency window into the policy.  The default is a
-       no-op, so every policy written before the feedback loop existed keeps
-       its exact decisions (and therefore its deterministic fingerprint)
-       under the feedback engine.
+    3. :meth:`on_feedback` is called — only under the ``event`` engine,
+       and only when the policy overrides it — once per minute *before*
+       :meth:`on_minute`, streaming the rolling cold-start-latency window
+       into the policy.  A policy that does not override the hook never
+       gets a window, so it runs exactly as it would without the loop.
 
     Policies are stateful; a fresh instance (or a call to :meth:`reset`)
     should be used for each simulation run.
@@ -89,7 +88,7 @@ class ProvisioningPolicy(abc.ABC):
         """
 
     def on_feedback(self, minute: int, latency_window) -> None:
-        """Observe the rolling cold-start-latency window (feedback engine only).
+        """Observe the rolling cold-start-latency window (``event`` engine only).
 
         Parameters
         ----------
@@ -101,13 +100,17 @@ class ProvisioningPolicy(abc.ABC):
             window, in the bound trace's function-index space.  The window is
             a read-only snapshot; policies must not mutate its arrays.
 
-        The default implementation ignores the feedback entirely, which is a
-        contract guarantee: a policy that does not override this hook is
-        *decision-identical* under ``event`` and ``event-feedback`` — the
-        equivalence tests assert fingerprint equality for every registered
-        policy.  Latency-aware policies override it to adapt their keep-alive
-        state between minutes.
+        The hook fires when overridden (see :func:`listens_to_feedback`); an
+        override that ignores the window leaves every decision unchanged, as
+        the equivalence tests assert for every registered policy.
+        Latency-aware policies override it to adapt their keep-alive state
+        between minutes.
         """
 
     def reset(self) -> None:
         """Clear any per-run state.  Subclasses with online state override this."""
+
+
+def listens_to_feedback(policy: ProvisioningPolicy) -> bool:
+    """Whether ``policy``'s class overrides :meth:`ProvisioningPolicy.on_feedback`."""
+    return type(policy).on_feedback is not ProvisioningPolicy.on_feedback

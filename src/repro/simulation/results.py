@@ -160,11 +160,10 @@ class ClusterStats:
 class LatencyStats:
     """Per-event cold-start latency distribution of an event-granular run.
 
-    Only present on results produced by the event-granular engines —
-    ``event`` and ``event-feedback`` (:mod:`repro.simulation.events`); the
-    minute-granular engines (``reference``, ``vectorized``) count cold
-    starts but cannot attribute latency, so they leave
-    :attr:`SimulationResult.latency` as ``None``.
+    Only present on results produced by the ``event`` engine
+    (:mod:`repro.simulation.events`); the minute-granular engines
+    (``reference``, ``vectorized``) count cold starts but cannot attribute
+    latency, so they leave :attr:`SimulationResult.latency` as ``None``.
 
     Latency is attributed to two kinds of events:
 
@@ -445,9 +444,8 @@ class SimulationResult:
         :class:`~repro.simulation.cluster.ClusterModel`; ``None`` in the
         paper's uncapped setting.
     latency:
-        Per-event cold-start latency distribution when the run used one of
-        the event-granular engines (``event`` or ``event-feedback``);
-        ``None`` for the minute-granular engines.
+        Per-event cold-start latency distribution when the run used the
+        ``event`` engine; ``None`` for the minute-granular engines.
     memory_mode:
         ``"unit"`` (the paper's one-abstract-unit-per-instance accounting,
         always collected) or ``"mb"`` (measured footprints additionally

@@ -1,4 +1,4 @@
-"""Intra-node CPU scheduling for the event engines.
+"""Intra-node CPU scheduling for the event engine.
 
 The event layer (:mod:`repro.simulation.events`) models *queueing for
 provisioning*: cold invocations wait for their function's container to come
@@ -487,7 +487,7 @@ register_scheduler(LasScheduler())
 
 @dataclass(frozen=True)
 class CpuConfig:
-    """Finite-core configuration for the event engines' CPU layer.
+    """Finite-core configuration for the event engine's CPU layer.
 
     Attributes
     ----------

@@ -45,7 +45,6 @@ from repro.simulation.placement import get_placement
 __all__ = [
     "ENGINE_IMPLEMENTATIONS",
     "MEMORY_MODES",
-    "EVENT_ENGINES",
     "ENGINE_VERSION",
     "DEFAULT_WARMUP_MINUTES",
     "RunSpec",
@@ -54,14 +53,11 @@ __all__ = [
 ]
 
 #: Names of the available engine implementations.
-ENGINE_IMPLEMENTATIONS = ("vectorized", "reference", "event", "event-feedback")
+ENGINE_IMPLEMENTATIONS = ("vectorized", "reference", "event")
 
 #: Memory accounting modes: the paper's abstract instance units (default)
 #: or measured megabyte footprints joined from the Azure dataset.
 MEMORY_MODES = ("unit", "mb")
-
-#: Engines that run the sub-minute event layer (and accept an EventConfig).
-EVENT_ENGINES = ("event", "event-feedback")
 
 #: Bumped whenever a change alters simulation *output*; part of on-disk
 #: result-cache keys so stale cached results are never served.
@@ -136,7 +132,7 @@ class RunSpec:
         the *default* for trace keys without an entry in the per-key
         mapping; on a resolved per-cell spec it is the cell's cluster.
     events:
-        Optional event-layer configuration (requires an event engine).
+        Optional event-layer configuration (requires the ``event`` engine).
         Same per-key defaulting as ``cluster``.
 
     Construction through :meth:`build` (or the entry points' keyword shims)
@@ -239,9 +235,9 @@ class RunSpec:
                 "an MB-denominated ClusterModel requires memory_mode='mb' "
                 "(footprints are needed to weigh admission)"
             )
-        if self.events is not None and self.engine not in EVENT_ENGINES:
+        if self.events is not None and self.engine != "event":
             raise ValueError(
-                f"an EventConfig requires an event engine {EVENT_ENGINES}"
+                "an EventConfig requires an event engine (engine='event')"
             )
         return self
 
@@ -262,7 +258,7 @@ class RunSpec:
         return content_digest(self)
 
     def cache_key_parts(
-        self, trace_fingerprint: Any, policy: Any, seed: Any
+        self, trace_fingerprint: Any, policy: Any, seed: Any, feedback: bool = False
     ) -> List[Any]:
         """The spec's canonical fields in the *legacy* cache-key part order.
 
@@ -272,11 +268,14 @@ class RunSpec:
         entry addressable byte-for-byte.  Do not reorder, insert into, or
         unconditionally append to this list — add new fields the way
         ``memory_mode`` was added: appended only when off their default, so
-        old keys stay valid.
+        old keys stay valid.  ``feedback`` marks a policy that overrides ``on_feedback``.
         """
+        # Closed-loop event runs keep the key of their retired engine name,
+        # "event-feedback", so their cache entries stay addressable.
+        closed_loop = feedback and self.engine == "event"
         parts: List[Any] = [
             ENGINE_VERSION,
-            self.engine,
+            "event-feedback" if closed_loop else self.engine,
             self.streaming,
             # Shard count and partition strategy key results even though
             # shardable runs are fingerprint-identical: event-engine latency
@@ -297,6 +296,8 @@ class RunSpec:
             parts.append(("memory_mode", self.memory_mode))
         return parts
 
-    def cache_key(self, trace_fingerprint: Any, policy: Any, seed: Any) -> str:
+    def cache_key(
+        self, trace_fingerprint: Any, policy: Any, seed: Any, feedback: bool = False
+    ) -> str:
         """Content hash identifying one cell's simulation output."""
-        return content_digest(*self.cache_key_parts(trace_fingerprint, policy, seed))
+        return content_digest(*self.cache_key_parts(trace_fingerprint, policy, seed, feedback))

@@ -216,15 +216,14 @@ class TestParallelRunner:
             ("vectorized", False),
             ("vectorized", True),
             ("event", False),
-            ("event-feedback", False),
-            ("event-feedback", True),
+            ("event", True),
         ):
             runner = ParallelRunner(
                 {"w": split}, cache_dir=tmp_path, warmup_minutes=30,
                 engine=engine, streaming=streaming,
             )
             keys.add(runner.cache_key(runner.cell("c", spec, "w")))
-        assert len(keys) == 5
+        assert len(keys) == 4
 
     def test_cache_keys_depend_on_shards_and_shard_placement(
         self, split, suite_specs, tmp_path

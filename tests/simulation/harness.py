@@ -51,14 +51,16 @@ from repro.simulation import (
 from repro.simulation.vector_policy import VectorizedPolicy
 from repro.traces import AzureTraceGenerator, GeneratorProfile, TraceSplit, split_trace
 
-#: Engines that support the uncapped setting (all of them).  The
-#: ``event-feedback`` engine is included deliberately: its feedback hook is a
-#: no-op on every paired policy, so fingerprints must match the other
-#: engines' — the contract that lets pre-feedback policies run unchanged
-#: under the closed loop.
-ALL_ENGINES = ("vectorized", "reference", "event", "event-feedback")
-#: Engines that support the capacity-constrained cluster mode.
-MASK_ENGINES = ("vectorized", "event", "event-feedback")
+#: The "listening no-op" column: the policy re-typed as a subclass whose
+#: ``on_feedback`` override does nothing, run under ``event``.  The override
+#: makes the engine maintain and stream the latency window, so fingerprints
+#: must still match the other engines' — the window bookkeeping may never
+#: touch minute-granular state.
+LISTENING = "event+listening"
+#: Engine columns that support the uncapped setting (all of them).
+ALL_ENGINES = ("vectorized", "reference", "event", LISTENING)
+#: Engine columns that support the capacity-constrained cluster mode.
+MASK_ENGINES = ("vectorized", "event", LISTENING)
 #: Engines that support sharded execution — the reference engine is the
 #: executable specification of the *unsharded* loop and always falls back.
 SHARD_ENGINES = MASK_ENGINES
@@ -66,6 +68,29 @@ SHARD_ENGINES = MASK_ENGINES
 #: derived from the registry so a newly registered strategy joins the
 #: equivalence matrix automatically.
 PLACEMENTS = tuple(placement_names())
+
+
+_LISTENING_TYPES: Dict[type, type] = {}
+
+
+def listening(policy):
+    """``policy`` re-typed as a subclass whose ``on_feedback`` does nothing."""
+    base = type(policy)
+    if base not in _LISTENING_TYPES:
+        _LISTENING_TYPES[base] = type(
+            f"Listening{base.__name__}",
+            (base,),
+            {"on_feedback": lambda self, minute, latency_window: None},
+        )
+    policy.__class__ = _LISTENING_TYPES[base]
+    return policy
+
+
+def simulate_column(policy, simulation, training=None, engine="vectorized", **options):
+    """:func:`simulate_policy` for one engine column (see :data:`LISTENING`)."""
+    if engine == LISTENING:
+        policy, engine = listening(policy), "event"
+    return simulate_policy(policy, simulation, training, engine=engine, **options)
 
 
 def _oracle_pair(oracle, name, **params):
@@ -200,20 +225,20 @@ def collect_fingerprints(
 
     ``factories`` maps an implementation label to a zero-argument policy
     factory; each build is fresh, so no state leaks between runs.  The event
-    config only applies to ``event`` runs (the other engines reject it).
+    config only applies to the event columns (the other engines reject it).
     ``shards``/``shard_placement`` select the sharded execution mode.
     """
     fingerprints: Dict[str, str] = {}
     for impl, factory in factories.items():
         for engine in engines:
-            result = simulate_policy(
+            result = simulate_column(
                 factory(),
                 split.simulation,
                 split.training,
                 warmup_minutes=warmup_minutes,
                 engine=engine,
                 cluster=cluster,
-                events=events if engine == "event" else None,
+                events=events if engine in ("event", LISTENING) else None,
                 shards=shards,
                 shard_placement=shard_placement,
             )

@@ -4,28 +4,35 @@ Three layers under test:
 
 * :class:`~repro.simulation.events.LatencyWindow` and the tracker's rolling
   window bookkeeping (accumulate, expire, NaN-free means);
-* the ``event-feedback`` engine mode — its no-op-hook guarantee (every
-  pre-feedback policy is fingerprint-identical to its ``event`` run, pinned
-  pair-by-pair over the harness catalog) and the feedback call order;
+* the ``event`` engine's feedback wiring — the window reaches exactly the
+  policies that override ``on_feedback`` (dict policies through the
+  adapter included), once per minute, and a no-op override leaves every
+  registry policy's fingerprint and latency samples untouched;
 * :class:`~repro.baselines.latency_aware.LatencyAwareKeepAlivePolicy`, the
   first consumer — including the PR's acceptance bar: it must beat the fixed
   keep-alive on p99 cold-start latency on a continuous-drift scenario.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from harness import POLICY_PAIRS, random_cluster
+from harness import POLICY_PAIRS, listening, random_cluster
 from repro.baselines import FixedKeepAlivePolicy, LatencyAwareKeepAlivePolicy
 from repro.scenarios import build_scenario
 from repro.simulation import (
+    CpuConfig,
     EventConfig,
     EventTracker,
     LatencyWindow,
+    ProvisioningPolicy,
+    RunSpec,
     Simulator,
     simulate_policy,
 )
-from repro.simulation.engine import ENGINE_IMPLEMENTATIONS, EVENT_ENGINES
+from repro.simulation.engine import ENGINE_IMPLEMENTATIONS
+from repro.simulation.policy_base import listens_to_feedback
 from repro.traces import AzureTraceGenerator, GeneratorProfile, split_trace
 
 
@@ -115,17 +122,33 @@ class TestLatencyWindow:
 
 
 class TestFeedbackEngineWiring:
-    def test_event_feedback_is_a_registered_engine(self):
-        assert "event-feedback" in ENGINE_IMPLEMENTATIONS
-        assert set(EVENT_ENGINES) == {"event", "event-feedback"}
+    def test_event_feedback_is_not_an_engine(self):
+        assert ENGINE_IMPLEMENTATIONS == ("vectorized", "reference", "event")
+        with pytest.raises(ValueError, match="unknown engine 'event-feedback'"):
+            RunSpec(engine="event-feedback")
+
+    def test_listening_means_overriding_the_hook(self):
+        assert not listens_to_feedback(FixedKeepAlivePolicy(10))
+        assert listens_to_feedback(LatencyAwareKeepAlivePolicy())
+        assert listens_to_feedback(listening(FixedKeepAlivePolicy(10)))
+
+    def test_default_hook_costs_no_window(self, split, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("window built for a policy that does not listen")
+
+        monkeypatch.setattr(EventTracker, "feedback_window", refuse)
+        monkeypatch.setattr(EventTracker, "_accumulate_window", refuse)
+        simulate_policy(
+            FixedKeepAlivePolicy(10), split.simulation, warmup_minutes=0, engine="event"
+        )
 
     def test_feedback_run_carries_a_latency_block(self, split):
         result = simulate_policy(
-            FixedKeepAlivePolicy(10),
+            LatencyAwareKeepAlivePolicy(),
             split.simulation,
             split.training,
             warmup_minutes=60,
-            engine="event-feedback",
+            engine="event",
         )
         assert result.latency is not None
         assert result.latency.cold_start_events == result.total_cold_starts
@@ -138,9 +161,7 @@ class TestFeedbackEngineWiring:
                 assert isinstance(latency_window, LatencyWindow)
                 minutes.append(minute)
 
-        simulate_policy(
-            Probe(10), split.simulation, warmup_minutes=0, engine="event-feedback"
-        )
+        simulate_policy(Probe(10), split.simulation, warmup_minutes=0, engine="event")
         assert minutes == list(range(split.simulation.duration_minutes))
 
     def test_minute_granular_engines_never_fire_the_hook(self, split):
@@ -150,57 +171,97 @@ class TestFeedbackEngineWiring:
             def on_feedback(self, minute, latency_window):
                 fired.append(minute)
 
-        for engine in ("vectorized", "event"):
+        for engine in ("vectorized", "reference"):
             simulate_policy(
                 Probe(10), split.simulation, warmup_minutes=0, engine=engine
             )
         assert fired == []
 
-    def test_event_config_accepted_by_feedback_engine_only(self, split):
+    @pytest.mark.parametrize(
+        "engine, expected_windows", [("event", 1), ("vectorized", 0), ("reference", 0)]
+    )
+    def test_dict_policy_override_gets_one_window_per_minute(
+        self, split, engine, expected_windows
+    ):
+        """A third-party dict policy listens through the adapter."""
+        minutes = []
+
+        class ThirdParty(ProvisioningPolicy):
+            name = "third-party"
+
+            def on_minute(self, minute, invocations):
+                return set(invocations)
+
+            def on_feedback(self, minute, latency_window):
+                assert isinstance(latency_window, LatencyWindow)
+                minutes.append(minute)
+
+        simulate_policy(
+            ThirdParty(), split.simulation, warmup_minutes=0, engine=engine
+        )
+        duration = split.simulation.duration_minutes
+        assert minutes == list(range(duration)) * expected_windows
+
+    def test_event_config_accepted_by_event_engine_only(self, split):
         with pytest.raises(ValueError, match="event engine"):
             Simulator(split.simulation, events=EventConfig(), engine="vectorized")
-        Simulator(split.simulation, events=EventConfig(), engine="event-feedback")
+        Simulator(split.simulation, events=EventConfig(), engine="event")
+
+
+def assert_same_latency(first, second):
+    """Every field of two :class:`LatencyStats`, arrays sample by sample."""
+    for field in dataclasses.fields(first):
+        a, b = getattr(first, field.name), getattr(second, field.name)
+        if isinstance(a, np.ndarray):
+            np.testing.assert_array_equal(a, b, err_msg=field.name)
+        elif isinstance(a, dict):
+            assert a.keys() == b.keys(), field.name
+            for key in a:
+                np.testing.assert_array_equal(a[key], b[key], err_msg=key)
+        else:
+            assert a == b, field.name
 
 
 class TestNoOpHookEquivalence:
-    """Every pre-feedback policy: event and event-feedback fingerprints match.
+    """A no-op ``on_feedback`` override leaves every registry policy alone.
 
-    The harness's cross-engine assertions already sweep the full matrix;
-    this class pins the narrower, load-bearing property directly — pair by
-    pair, with and without capacity pressure — so a regression names the
-    exact policy whose decisions the feedback plumbing perturbed.
+    The override switches the window bookkeeping on; fingerprints *and*
+    latency samples must still equal the plain ``event`` run's, so the
+    bookkeeping can touch neither minute-granular state nor the jitter
+    stream.  Pinned pair by pair, with and without capacity pressure, so a
+    regression names the exact policy the feedback plumbing perturbed.
     """
 
+    def _pair(self, factory, split, **options):
+        return [
+            simulate_policy(
+                policy,
+                split.simulation,
+                split.training,
+                warmup_minutes=120,
+                engine="event",
+                **options,
+            )
+            for policy in (factory(), listening(factory()))
+        ]
+
     @pytest.mark.parametrize("dict_factory, indexed_factory", POLICY_PAIRS)
-    def test_feedback_engine_is_a_no_op_for_classic_policies(
+    def test_listening_no_op_changes_nothing(
         self, split, dict_factory, indexed_factory
     ):
-        fingerprints = {
-            engine: simulate_policy(
-                indexed_factory(),
-                split.simulation,
-                split.training,
-                warmup_minutes=120,
-                engine=engine,
-            ).deterministic_fingerprint()
-            for engine in ("event", "event-feedback")
-        }
-        assert fingerprints["event"] == fingerprints["event-feedback"]
+        plain, listened = self._pair(indexed_factory, split)
+        assert plain.deterministic_fingerprint() == listened.deterministic_fingerprint()
+        assert_same_latency(plain.latency, listened.latency)
 
     def test_no_op_equivalence_holds_under_capacity_pressure(self, split):
-        cluster = random_cluster(3, split)
-        fingerprints = {
-            engine: simulate_policy(
-                FixedKeepAlivePolicy(10),
-                split.simulation,
-                split.training,
-                warmup_minutes=120,
-                engine=engine,
-                cluster=cluster,
-            ).deterministic_fingerprint()
-            for engine in ("event", "event-feedback")
-        }
-        assert fingerprints["event"] == fingerprints["event-feedback"]
+        plain, listened = self._pair(
+            lambda: FixedKeepAlivePolicy(10),
+            split,
+            cluster=random_cluster(3, split),
+            events=EventConfig(cpu=CpuConfig(cores_per_node=2, scheduler="srtf")),
+        )
+        assert plain.deterministic_fingerprint() == listened.deterministic_fingerprint()
+        assert_same_latency(plain.latency, listened.latency)
 
 
 class TestLatencyAwareKeepAlive:
@@ -291,7 +352,7 @@ class TestLatencyAwareKeepAlive:
         policy.reset()
         assert (policy.keep_alive_minutes == 10).all()
 
-    def test_degrades_to_fixed_keepalive_off_the_feedback_engine(self, split):
+    def test_degrades_to_fixed_keepalive_off_the_event_engine(self, split):
         fixed = simulate_policy(
             FixedKeepAlivePolicy(10),
             split.simulation,
@@ -339,16 +400,16 @@ class TestClosedLoopOutcomes:
             workload.split.training,
             warmup_minutes=0,
             engine=engine,
-            events=workload.events,
+            events=workload.events if engine == "event" else None,
         )
 
     def test_feedback_actually_changes_latency_aware_decisions(self):
         workload = build_scenario("seasonal-mix", **self.SHAPE)
         open_loop = self._run(
-            LatencyAwareKeepAlivePolicy(), workload, engine="event"
+            LatencyAwareKeepAlivePolicy(), workload, engine="vectorized"
         )
         closed_loop = self._run(
-            LatencyAwareKeepAlivePolicy(), workload, engine="event-feedback"
+            LatencyAwareKeepAlivePolicy(), workload, engine="event"
         )
         assert (
             open_loop.deterministic_fingerprint()
@@ -357,12 +418,8 @@ class TestClosedLoopOutcomes:
 
     def test_closed_loop_runs_are_deterministic(self):
         workload = build_scenario("seasonal-mix", **self.SHAPE)
-        first = self._run(
-            LatencyAwareKeepAlivePolicy(), workload, engine="event-feedback"
-        )
-        second = self._run(
-            LatencyAwareKeepAlivePolicy(), workload, engine="event-feedback"
-        )
+        first = self._run(LatencyAwareKeepAlivePolicy(), workload, engine="event")
+        second = self._run(LatencyAwareKeepAlivePolicy(), workload, engine="event")
         assert (
             first.deterministic_fingerprint() == second.deterministic_fingerprint()
         )
@@ -373,7 +430,7 @@ class TestClosedLoopOutcomes:
     def test_latency_aware_beats_fixed_on_p99_under_continuous_drift(self):
         """The PR's acceptance criterion, pinned on seasonal-mix.
 
-        Under streaming evaluation (no training window) on the feedback
+        Under streaming evaluation (no training window) on the event
         engine, the latency-aware policy's pooled p99 cold-start wait must
         be strictly below the fixed keep-alive's at the same base horizon.
         """

@@ -21,7 +21,7 @@ from typing import Dict
 import numpy as np
 import pytest
 
-from harness import ALL_ENGINES, MASK_ENGINES, random_split
+from harness import ALL_ENGINES, MASK_ENGINES, random_split, simulate_column
 from repro.baselines import FixedKeepAlivePolicy
 from repro.core import SpesPolicy
 from repro.simulation import ClusterModel, simulate_policy
@@ -69,7 +69,7 @@ def measured_split(plain_split):
 
 
 def run(split, *, engine="vectorized", memory_mode="unit", shards=0, cluster=None):
-    return simulate_policy(
+    return simulate_column(
         FixedKeepAlivePolicy(10),
         split.simulation,
         split.training,

@@ -1,8 +1,25 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.simulation import ENGINE_IMPLEMENTATIONS, MEMORY_MODES, scheduler_names
+
+
+def choices_of(command, option):
+    """The declared ``choices`` of ``option`` on subcommand ``command``."""
+    subparsers = next(
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return next(
+        action.choices
+        for action in subparsers.choices[command]._actions
+        if option in action.option_strings
+    )
 
 
 class TestParser:
@@ -226,27 +243,32 @@ class TestStreamingAndFeedbackCommands:
         "--seeds", "5",
     ]
 
-    def test_sweep_parses_feedback_engine_and_streaming(self):
+    def test_sweep_parses_event_engine_and_streaming(self):
         parser = build_parser()
-        args = parser.parse_args(
-            ["sweep", "--engine", "event-feedback", "--streaming"]
-        )
-        assert args.engine == "event-feedback"
+        args = parser.parse_args(["sweep", "--engine", "event", "--streaming"])
+        assert args.engine == "event"
         assert args.streaming is True
         assert build_parser().parse_args(["sweep"]).streaming is False
+
+    @pytest.mark.parametrize("command", ["sweep", "config"])
+    def test_feedback_engine_name_is_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, "--engine", "event-feedback"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'event-feedback'" in capsys.readouterr().err
 
     def test_streaming_feedback_sweep_runs_end_to_end(self, capsys):
         arguments = self.TINY_SWEEP + [
             "--policies", "fixed-10min", "latency-keepalive",
             "--scenario", "load-ramp",
-            "--engine", "event-feedback", "--streaming",
+            "--engine", "event", "--streaming",
         ]
         exit_code = main(arguments)
         captured = capsys.readouterr()
         assert exit_code == 0
         assert "lat_p99_ms" in captured.out
         assert "latency-keepalive" in captured.out
-        assert "engine event-feedback, streaming" in captured.out
+        assert "engine event, streaming" in captured.out
 
     def test_latency_rq_runs_on_a_tiny_shape(self, capsys):
         exit_code = main([
@@ -474,3 +496,19 @@ class TestManifestFlags:
         exit_code = main(["sweep", "--from-manifest", str(manifest_path)])
         assert exit_code == 2
         assert "trace fingerprints diverge" in capsys.readouterr().err
+
+
+class TestChoicesFollowTheRegistries:
+    """Parser choices are the library's constants, so the two cannot drift."""
+
+    @pytest.mark.parametrize("command", ["sweep", "config"])
+    def test_sweep_style_choices(self, command):
+        assert choices_of(command, "--engine") == ENGINE_IMPLEMENTATIONS
+        assert choices_of(command, "--memory-mode") == MEMORY_MODES
+        assert choices_of(command, "--scheduler") == scheduler_names()
+
+    def test_results_memory_modes(self):
+        assert choices_of("results", "--memory-mode") == MEMORY_MODES
+
+    def test_slowdown_rq_schedulers(self):
+        assert choices_of("slowdown-rq", "--schedulers") == scheduler_names()

@@ -632,7 +632,7 @@ class TestSuiteIntegration:
         )
         kwargs = dict(
             config=config, seeds=[5], policies=("fixed-10min",),
-            scenario="load-ramp", engine="event-feedback", streaming=True,
+            scenario="load-ramp", engine="event", streaming=True,
         )
         first = ExperimentSuite(**kwargs).run()
         second = ExperimentSuite(**kwargs).run()
