@@ -50,7 +50,7 @@ class AdjustingStrategy:
 
         Returns True when the state was modified (predictive values adjusted
         or the category promoted), so callers caching derived per-function
-        data — e.g. SpesPolicy's threshold arrays — can refresh
+        data — e.g. SpesPolicy's prediction windows — can refresh
         only when something actually changed.
         """
         observed = len(state.online_waiting_times)

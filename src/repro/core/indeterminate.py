@@ -28,6 +28,7 @@ import numpy as np
 from repro.core.categories import FunctionCategory
 from repro.core.config import SpesConfig
 from repro.core.predictive import PredictiveValues
+from repro.core.sequences import extract_sequences
 
 
 @dataclass(frozen=True)
@@ -85,26 +86,21 @@ def possible_predictive_values(
 def evaluate_pulsed_strategy(
     series: Sequence[int] | np.ndarray, theta_givenup: int
 ) -> StrategyOutcome:
-    """Simulate the pulsed strategy (keep-warm after each invocation) on ``series``."""
-    counts = np.asarray(series, dtype=np.int64)
-    resident = False
-    idle = 0
-    cold_starts = 0
-    wasted = 0
-    for count in counts:
-        invoked = count > 0
-        if invoked:
-            if not resident:
-                cold_starts += 1
-            resident = True
-            idle = 0
-        else:
-            if resident:
-                wasted += 1
-                idle += 1
-                if idle >= theta_givenup:
-                    resident = False
-    return StrategyOutcome(cold_starts=cold_starts, wasted_memory=wasted)
+    """Outcome of the pulsed strategy (keep-warm after each invocation) on ``series``.
+
+    The first invocation is cold; each waiting time ``WT`` wastes
+    ``min(WT, theta)`` minutes and ends in a cold start when ``WT >= theta``;
+    the trailing idle time wastes ``min(trailing, theta)``.
+    """
+    summary = extract_sequences(series)
+    if not summary.has_invocations:
+        return StrategyOutcome(cold_starts=0, wasted_memory=0)
+    waiting_times = np.asarray(summary.waiting_times, dtype=np.int64)
+    return StrategyOutcome(
+        cold_starts=1 + int(np.count_nonzero(waiting_times >= theta_givenup)),
+        wasted_memory=int(np.minimum(waiting_times, theta_givenup).sum())
+        + min(summary.trailing_idle, theta_givenup),
+    )
 
 
 def evaluate_possible_strategy(
@@ -113,35 +109,28 @@ def evaluate_possible_strategy(
     theta_prewarm: int,
     theta_givenup: int,
 ) -> StrategyOutcome:
-    """Simulate prediction-driven pre-warming with the given predictive values."""
-    counts = np.asarray(series, dtype=np.int64)
-    resident = False
-    idle = 0
-    cold_starts = 0
-    wasted = 0
-    last_invocation: int | None = None
-    for minute, count in enumerate(counts):
-        invoked = count > 0
-        if invoked:
-            if not resident:
-                cold_starts += 1
-            resident = True
-            last_invocation = minute
-            idle = 0
-            continue
-        if resident:
-            wasted += 1
-        idle += 1
-        preload = (
-            last_invocation is not None
-            and not predictive.is_empty
-            and predictive.matches(minute + 1, last_invocation, theta_prewarm)
-        )
-        if preload:
-            resident = True
-        elif idle >= theta_givenup:
-            resident = False
-    return StrategyOutcome(cold_starts=cold_starts, wasted_memory=wasted)
+    """Outcome of prediction-driven pre-warming with the given predictive values.
+
+    ``k`` minutes after an invocation the instance is resident when
+    ``k <= theta_givenup`` or when ``k`` lies within ``theta_prewarm`` of a
+    predicted waiting time, whatever happened earlier in the gap.  One
+    residency profile over ``k`` therefore prices every gap: a waiting time
+    ``WT`` wastes the profile's prefix sum up to ``WT`` and ends in a cold
+    start when minute ``WT + 1`` is not resident.
+    """
+    summary = extract_sequences(series)
+    if not summary.has_invocations:
+        return StrategyOutcome(cold_starts=0, wasted_memory=0)
+    waiting_times = np.asarray(summary.waiting_times, dtype=np.int64)
+    resident = np.zeros(summary.total_slots + 2, dtype=bool)
+    resident[1 : theta_givenup + 1] = True
+    for low, high in predictive.predicted_times(0):
+        resident[max(low - theta_prewarm, 1) : high + theta_prewarm + 1] = True
+    wasted = np.cumsum(resident)
+    return StrategyOutcome(
+        cold_starts=1 + int(np.count_nonzero(~resident[waiting_times + 1])),
+        wasted_memory=int(wasted[waiting_times].sum()) + int(wasted[summary.trailing_idle]),
+    )
 
 
 def evaluate_correlated_strategy(
@@ -229,8 +218,12 @@ def choose_indeterminate_category(
     if len(outcomes) == 1:
         return next(iter(outcomes))
 
-    by_cold = min(outcomes, key=lambda cat: (outcomes[cat].cold_starts, outcomes[cat].wasted_memory))
-    by_memory = min(outcomes, key=lambda cat: (outcomes[cat].wasted_memory, outcomes[cat].cold_starts))
+    by_cold = min(
+        outcomes, key=lambda cat: (outcomes[cat].cold_starts, outcomes[cat].wasted_memory)
+    )
+    by_memory = min(
+        outcomes, key=lambda cat: (outcomes[cat].wasted_memory, outcomes[cat].cold_starts)
+    )
     if by_cold == by_memory:
         return by_cold
 

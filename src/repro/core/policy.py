@@ -13,17 +13,14 @@ category and predictive values to every function.  Online, the policy
   unknown/unseen functions, and online correlation for unseen functions.
 
 The per-invocation state machine (:class:`~repro.core.state.FunctionState`)
-and the adaptive strategies work on function ids; the per-minute bookkeeping
-runs on numpy arrays over the trace's function-index space:
-
-* residency is a boolean mask;
-* the give-up thresholds, hold-until horizons (prediction, offline
-  correlation, online correlation) and always-warm flags live in per-function
-  arrays, refreshed only when a state actually changes (the
-  :meth:`~repro.core.adaptive.AdjustingStrategy.maybe_update` change flag);
-* the eviction scan is a handful of vectorized comparisons; only candidates
-  with live predictive values fall back to a per-function ``preload_due``
-  check.
+and the adaptive strategies work on function ids; residency is a boolean
+mask over the trace's function-index space.  Nothing is scanned per minute:
+a function's eviction inputs (its last invocation, give-up threshold,
+predictions, hold-until horizon and category) change only when it is
+invoked, loaded or held, so each change schedules the function's *eviction
+deadline* -- the first minute at which the idle, hold and prediction checks
+all pass -- into a ``minute -> positions`` calendar, and each minute evicts
+the positions whose deadline it is.
 """
 
 from __future__ import annotations
@@ -41,11 +38,8 @@ from repro.simulation.vector_policy import VectorizedPolicy
 from repro.traces.schema import FunctionRecord
 from repro.traces.trace import InvocationIndex, Trace
 
-#: "Never invoked" marker for the last-invocation array.  Chosen as ``-1`` so
-#: the vectorized idle time ``minute - last`` equals
-#: :meth:`FunctionState.idle_minutes` for never-invoked functions
-#: (``minute + 1``) — including during negatively-numbered warm-up minutes.
-_NEVER_INVOKED = -1
+#: Eviction deadline of an always-warm function: no hold ever reaches it.
+_NEVER_EVICTED = 2**62
 
 
 class SpesPolicy(VectorizedPolicy):
@@ -141,27 +135,29 @@ class SpesPolicy(VectorizedPolicy):
     def on_bind(self, index: InvocationIndex) -> None:
         n = index.n_functions
         self._mask = np.zeros(n, dtype=bool)
-        self._invoked_scratch = np.zeros(n, dtype=bool)
-        self._last_arr = np.full(n, _NEVER_INVOKED, dtype=np.int64)
-        self._theta_arr = np.full(n, self.config.theta_givenup_default, dtype=np.int64)
-        self._always_arr = np.zeros(n, dtype=bool)
-        self._haspred_arr = np.zeros(n, dtype=bool)
-        self._pred_hold_arr = np.zeros(n, dtype=np.int64)
-        self._corr_hold_arr = np.zeros(n, dtype=np.int64)
-        self._online_hold_arr = np.zeros(n, dtype=np.int64)
-        # Position-keyed pre-warm calendar: ``minute -> (positions, holds)``
-        # append-only lists.  Duplicates are resolved at apply time by
-        # ``np.maximum.at`` — associative max, so append-now / dedup-later
-        # yields the same holds as keeping the maximum on insertion.
-        self._prewarm_due: dict[int, tuple[list, list]] = {}
-        for position, function_id in enumerate(index.function_ids):
-            self._sync_state_arrays(position, self._ensure_state(function_id))
+        self._state_at = [self._ensure_state(fid) for fid in index.function_ids]
+        # Prediction windows relative to the last invocation, widened by
+        # theta_prewarm and sorted by start: ``(v - theta, v + theta)``.
+        self._windows: list[list[tuple[int, int]]] = [[]] * n
+        # The latest hold-until horizon of any kind (prediction, offline or
+        # online correlation): only the largest one decides eviction.
+        self._hold_until = [0] * n
+        self._deadline = [_NEVER_EVICTED] * n
+        # ``minute -> positions`` whose eviction deadline was that minute
+        # when scheduled; an entry whose deadline moved since is stale.
+        self._evict_at: dict[int, list[int]] = {}
+        # Position-keyed pre-warm calendar: ``minute -> [(position, hold)]``.
+        self._prewarm_due: dict[int, list[tuple[int, int]]] = {}
+        for position, state in enumerate(self._state_at):
+            self._sync_state_arrays(position, state)
 
     def _sync_state_arrays(self, position: int, state: FunctionState) -> None:
-        """Refresh the cached decision inputs of one function."""
-        self._theta_arr[position] = state.theta_givenup
-        self._always_arr[position] = state.category == FunctionCategory.ALWAYS_WARM
-        self._haspred_arr[position] = not state.predictive.is_empty
+        """Refresh the cached prediction windows of one function."""
+        theta = state.theta_prewarm
+        self._windows[position] = sorted(
+            (low - theta, high + theta)
+            for low, high in state.predictive.predicted_times(0)
+        )
 
     # ------------------------------------------------------------------ #
     # Introspection used by experiments, analysis and tests
@@ -187,33 +183,22 @@ class SpesPolicy(VectorizedPolicy):
         self, minute: int, invoked: np.ndarray, counts: np.ndarray
     ) -> np.ndarray:
         mask = self._mask
-        scratch = self._invoked_scratch
-        ids = self._function_ids
-        states = self._states
+        state_at = self._state_at
         adjusting = self._adjusting
 
-        if invoked.size:
-            scratch[invoked] = True
         for position in invoked.tolist():
-            function_id = ids[position]
-            state = states.get(function_id)
-            if state is None:
-                state = self._ensure_state(function_id)
-                self._sync_state_arrays(position, state)
-            cold = not mask[position]
-            state.record_invocation(minute, cold)
+            state = state_at[position]
+            state.record_invocation(minute, not mask[position])
             if adjusting is not None and adjusting.maybe_update(state):
                 self._sync_state_arrays(position, state)
             mask[position] = True
-            self._last_arr[position] = minute
-            self._schedule_prediction_prewarm(position, state, minute)
-            self._fire_correlated_links(function_id, minute)
+            self._schedule_eviction(position, minute)
+            self._schedule_prediction_prewarm(position, minute)
+            self._fire_correlated_links(state.function_id, minute)
             self._update_online_correlation(state, minute)
 
         self._apply_due_prewarm(minute)
-        self._evict_idle(minute)
-        if invoked.size:
-            scratch[invoked] = False
+        self._evict_due(minute)
         return mask
 
     # ------------------------------------------------------------------ #
@@ -232,30 +217,19 @@ class SpesPolicy(VectorizedPolicy):
             self._states[function_id] = state
         return state
 
-    def _schedule_prediction_prewarm(
-        self, position: int, state: FunctionState, minute: int
-    ) -> None:
+    def _schedule_prediction_prewarm(self, position: int, minute: int) -> None:
         """Register future pre-warm triggers from the function's predictions.
 
         Each trigger carries the end of the prediction window it was derived
         from, so a prediction made now is still honoured even if an
         intervening (e.g. spurious) invocation later moves the function's
-        "last invocation" anchor.  Triggers and holds are appended to flat
-        parallel lists per trigger minute.
+        "last invocation" anchor.
         """
-        if state.predictive.is_empty:
-            return
-        theta = state.theta_prewarm
-        calendar = self._prewarm_due
-        for low, high in state.predictive.predicted_times(minute):
-            trigger = low - theta
-            if trigger <= minute:
-                continue
-            entry = calendar.get(trigger)
-            if entry is None:
-                entry = calendar[trigger] = ([], [])
-            entry[0].append(position)
-            entry[1].append(high + theta + 1)
+        for low, high in self._windows[position]:
+            if low > 0:
+                self._prewarm_due.setdefault(minute + low, []).append(
+                    (position, minute + high + 1)
+                )
 
     def _fire_correlated_links(self, predictor_id: str, minute: int) -> None:
         """Pre-warm correlated targets whose predictor just fired."""
@@ -273,18 +247,9 @@ class SpesPolicy(VectorizedPolicy):
                 continue
             load_at = minute + max(0, lag - config.theta_prewarm)
             keep_until = minute + lag + config.theta_prewarm + 1
-            if keep_until > self._corr_hold_arr[position]:
-                self._corr_hold_arr[position] = keep_until
-            if load_at <= minute:
-                self._mask[position] = True
-                if target_id not in self._states:
-                    self._sync_state_arrays(position, self._ensure_state(target_id))
-            else:
-                entry = self._prewarm_due.get(load_at)
-                if entry is None:
-                    entry = self._prewarm_due[load_at] = ([], [])
-                entry[0].append(position)
-                entry[1].append(keep_until)
+            self._hold(position, keep_until, minute, load=load_at <= minute)
+            if load_at > minute:
+                self._prewarm_due.setdefault(load_at, []).append((position, keep_until))
 
     def _update_online_correlation(self, state: FunctionState, minute: int) -> None:
         """Feed the online-correlation tracker (unseen targets and their candidates)."""
@@ -303,12 +268,7 @@ class SpesPolicy(VectorizedPolicy):
             position = self._index_of.get(target_id)
             if position is None:
                 continue
-            keep_until = minute + self.config.correlated_prewarm_window + 1
-            if keep_until > self._online_hold_arr[position]:
-                self._online_hold_arr[position] = keep_until
-            self._mask[position] = True
-            if target_id not in self._states:
-                self._sync_state_arrays(position, self._ensure_state(target_id))
+            self._hold(position, minute + self.config.correlated_prewarm_window + 1, minute)
 
     def _candidate_ids_for(self, function_id: str) -> List[str]:
         """Rank candidate predictors for an unseen function (same trigger first)."""
@@ -336,48 +296,67 @@ class SpesPolicy(VectorizedPolicy):
     # Pre-warming and eviction
     # ------------------------------------------------------------------ #
     def _apply_due_prewarm(self, minute: int) -> None:
-        """Batch-apply every pre-warm due this minute with two array ops.
-
-        Only positions of the bound index are ever scheduled (and
-        :meth:`on_bind` materialized a state for each), so no position needs
-        an unknown-id or unknown-state guard.  Functions invoked this minute
-        keep the hold but are not re-marked resident here.
-        """
-        entry = self._prewarm_due.pop(minute, None)
-        if entry is None:
+        """Apply every pre-warm due this minute: raise its hold, load it."""
+        due = self._prewarm_due.pop(minute, None)
+        if due is None:
             return
-        positions = np.asarray(entry[0], dtype=np.int64)
-        holds = np.asarray(entry[1], dtype=np.int64)
-        np.maximum.at(self._pred_hold_arr, positions, holds)
-        self._mask[positions[~self._invoked_scratch[positions]]] = True
+        for position, keep_until in due:
+            self._hold(position, keep_until, minute)
 
-    def _evict_idle(self, minute: int) -> None:
-        """Evict idle residents, vectorized over the function-index space.
+    def _hold(self, position: int, keep_until: int, minute: int, load: bool = True) -> None:
+        """Keep ``position`` resident while ``minute + 1 < keep_until``.
 
-        A resident, non-invoked, non-always-warm function is evicted when its
-        idle time has reached its give-up threshold and neither a hold-until
-        horizon nor a live prediction justifies keeping it.
+        With ``load`` the function is made resident now; otherwise the hold
+        only extends a residency it already has (or a later load gets).
         """
-        mask = self._mask
-        candidates = mask & ~self._invoked_scratch & ~self._always_arr
-        if not candidates.any():
+        raised = keep_until > self._hold_until[position]
+        if raised:
+            self._hold_until[position] = keep_until
+        if self._mask[position]:
+            if raised and keep_until - 1 > self._deadline[position]:
+                self._schedule_eviction(position, minute)
+        elif load:
+            self._mask[position] = True
+            self._schedule_eviction(position, minute)
+
+    def _schedule_eviction(self, position: int, minute: int) -> None:
+        """Schedule the eviction deadline of a resident function.
+
+        The deadline is the first minute ``m >= minute`` at which the
+        function would be released: idle for its give-up threshold
+        (``m - last >= theta_givenup``, a never-invoked function counting
+        from minute ``-1``), no hold reaching past ``m + 1``, and -- once it
+        has been invoked -- ``m + 1`` outside every prediction window.
+        Always-warm functions are never evicted.
+        """
+        state = self._state_at[position]
+        if state.category == FunctionCategory.ALWAYS_WARM:
+            self._deadline[position] = _NEVER_EVICTED
             return
-        next_minute = minute + 1
-        idle = minute - self._last_arr
-        held = (
-            (self._pred_hold_arr > next_minute)
-            | (self._corr_hold_arr > next_minute)
-            | (self._online_hold_arr > next_minute)
+        last = state.last_invocation
+        deadline = max(
+            minute,
+            self._hold_until[position] - 1,
+            (-1 if last is None else last) + state.theta_givenup,
         )
-        evict = candidates & (idle >= self._theta_arr) & ~held
+        if last is not None:
+            # Windows are sorted by start, so one pass skips every window
+            # that covers the candidate next minute.
+            offset = deadline + 1 - last
+            for low, high in self._windows[position]:
+                if low <= offset <= high:
+                    offset = high + 1
+            deadline = last + offset - 1
+        self._deadline[position] = deadline
+        self._evict_at.setdefault(deadline, []).append(position)
 
-        # Only functions with live predictive values need the per-function
-        # prediction check; everything else was decided by pure array math.
-        check = np.flatnonzero(evict & self._haspred_arr)
-        if check.size:
-            ids = self._function_ids
-            states = self._states
-            for position in check.tolist():
-                if states[ids[position]].preload_due(next_minute):
-                    evict[position] = False
-        mask[evict] = False
+    def _evict_due(self, minute: int) -> None:
+        """Evict the functions whose eviction deadline is this minute."""
+        due = self._evict_at.pop(minute, None)
+        if due is None:
+            return
+        deadline = self._deadline
+        mask = self._mask
+        for position in due:
+            if deadline[position] == minute:
+                mask[position] = False

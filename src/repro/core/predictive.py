@@ -108,21 +108,3 @@ class PredictiveValues:
             if low - theta_prewarm <= minute <= high + theta_prewarm:
                 return True
         return False
-
-    def prewarm_trigger_minutes(self, last_invocation: int, theta_prewarm: int) -> list[int]:
-        """Minutes at which pre-warming should be (re)considered.
-
-        One trigger per prediction interval, placed ``theta_prewarm`` minutes
-        before the interval starts (clamped at the invocation time itself).
-        """
-        triggers = []
-        for low, _high in self.predicted_times(last_invocation):
-            triggers.append(max(last_invocation, low - theta_prewarm))
-        return triggers
-
-    def horizon(self, last_invocation: int, theta_prewarm: int) -> int | None:
-        """Latest minute at which any prediction can still justify residency."""
-        intervals = self.predicted_times(last_invocation)
-        if not intervals:
-            return None
-        return max(high + theta_prewarm for _low, high in intervals)

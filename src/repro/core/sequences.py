@@ -151,43 +151,26 @@ def extract_sequences(series: Sequence[int] | np.ndarray) -> InvocationSummary:
             trailing_idle=0,
         )
 
-    invoked_indices = np.nonzero(invoked_mask)[0]
+    invoked_indices = np.flatnonzero(invoked_mask)
+    # A run ends wherever two consecutive invoked minutes are more than one
+    # apart; the idle minutes in between are that boundary's waiting time.
+    steps = np.diff(invoked_indices)
+    breaks = np.flatnonzero(steps > 1)
+    run_starts = np.concatenate(([0], breaks + 1))
+    run_ends = np.append(breaks, invoked_indices.size - 1)
     first, last = int(invoked_indices[0]), int(invoked_indices[-1])
 
-    waiting_times: list[int] = []
-    active_times: list[int] = []
-    active_numbers: list[int] = []
-
-    run_start = first
-    previous = first
-    run_total = int(counts[first])
-    for index in invoked_indices[1:]:
-        index = int(index)
-        gap = index - previous - 1
-        if gap > 0:
-            active_times.append(previous - run_start + 1)
-            active_numbers.append(run_total)
-            waiting_times.append(gap)
-            run_start = index
-            run_total = int(counts[index])
-        else:
-            run_total += int(counts[index])
-        previous = index
-    active_times.append(previous - run_start + 1)
-    active_numbers.append(run_total)
-
     return InvocationSummary(
-        waiting_times=tuple(waiting_times),
-        active_times=tuple(active_times),
-        active_numbers=tuple(active_numbers),
+        waiting_times=tuple((steps[breaks] - 1).tolist()),
+        active_times=tuple(
+            (invoked_indices[run_ends] - invoked_indices[run_starts] + 1).tolist()
+        ),
+        active_numbers=tuple(
+            np.add.reduceat(counts[invoked_indices], run_starts).tolist()
+        ),
         total_slots=total_slots,
         invoked_slots=invoked_slots,
         total_invocations=total_invocations,
         leading_idle=first,
         trailing_idle=total_slots - 1 - last,
     )
-
-
-def waiting_times_from_series(series: Sequence[int] | np.ndarray) -> tuple[int, ...]:
-    """Shorthand returning only the waiting-time sequence of ``series``."""
-    return extract_sequences(series).waiting_times

@@ -62,17 +62,3 @@ class TestPrediction:
 
     def test_empty_never_matches(self):
         assert not PredictiveValues.none().matches(5, 0, 10)
-
-    def test_prewarm_trigger_minutes(self):
-        values = PredictiveValues.from_discrete([30, 60])
-        triggers = values.prewarm_trigger_minutes(100, theta_prewarm=2)
-        assert triggers == [128, 158]
-
-    def test_prewarm_trigger_clamped_to_last_invocation(self):
-        values = PredictiveValues.from_discrete([1])
-        assert values.prewarm_trigger_minutes(100, theta_prewarm=5) == [100]
-
-    def test_horizon(self):
-        values = PredictiveValues(discrete=(10,), window=(20, 40))
-        assert values.horizon(100, theta_prewarm=3) == 143
-        assert PredictiveValues.none().horizon(100, 3) is None

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.sequences import extract_sequences, waiting_times_from_series
+from repro.core.sequences import extract_sequences
 
 
 class TestPaperExample:
@@ -101,9 +101,6 @@ class TestStatistics:
     def test_cv_of_varied_wts_positive(self):
         summary = extract_sequences([1, 0, 1, 0, 0, 0, 0, 0, 1])
         assert summary.waiting_time_cv() > 0.3
-
-    def test_shorthand_helper(self):
-        assert waiting_times_from_series([1, 0, 0, 1]) == (2,)
 
 
 class TestLongSeries:
