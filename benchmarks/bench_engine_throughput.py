@@ -600,7 +600,7 @@ def test_sharded_scale_throughput(output_dir):
     single_seconds = time.perf_counter() - started
 
     # Sharded sweep: one cell split into per-shard pool tasks; the measured
-    # wall-clock includes partitioning, pool startup, the shared-trace pickle
+    # wall-clock includes partitioning, pool startup, the trace hand-off
     # and the merge — the cost a real sweep actually pays.
     runner = ParallelRunner(
         {"scale": split}, workers=shards, warmup_minutes=0, shards=shards

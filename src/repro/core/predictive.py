@@ -101,10 +101,3 @@ class PredictiveValues:
             low, high = self.window
             intervals.append((last_invocation + low, last_invocation + high))
         return intervals
-
-    def matches(self, minute: int, last_invocation: int, theta_prewarm: int) -> bool:
-        """True when a predicted invocation falls within ``theta_prewarm`` of ``minute``."""
-        for low, high in self.predicted_times(last_invocation):
-            if low - theta_prewarm <= minute <= high + theta_prewarm:
-                return True
-        return False

@@ -102,18 +102,6 @@ class FunctionState:
             self.cold_start_count += 1
         return waiting_time
 
-    def idle_minutes(self, minute: int) -> int:
-        """Idle minutes accumulated up to and including ``minute``."""
-        if self.last_invocation is None:
-            return minute + 1
-        return max(0, minute - self.last_invocation)
-
-    def preload_due(self, minute: int) -> bool:
-        """True when a predicted invocation justifies keeping/loading the instance."""
-        if self.last_invocation is None or self.predictive.is_empty:
-            return False
-        return self.predictive.matches(minute, self.last_invocation, self.theta_prewarm)
-
     @property
     def cold_start_rate(self) -> float:
         """Online cold-start rate of this function."""

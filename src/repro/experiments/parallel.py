@@ -5,9 +5,12 @@ of cells.  :class:`ParallelRunner` executes sweeps either serially in-process
 or across a :class:`concurrent.futures.ProcessPoolExecutor`, with three
 guarantees:
 
-* **Shared workload** — the training/simulation traces are pickled *once* in
-  the parent and shipped to every worker through the pool initializer, so a
-  sweep of N cells never re-generates or re-serializes the workload N times.
+* **Shared workload** — the training/simulation traces are handed to every
+  worker once, through the pool initializer, so a sweep of N cells never
+  re-generates or re-serializes the workload N times.  Under ``fork`` the
+  workers inherit the parent's traces, cached indexes included, without a
+  copy; under ``spawn``/``forkserver`` multiprocessing pickles them once per
+  worker.
 * **Determinism** — every cell carries a seed derived stably (SHA-256) from
   the sweep's base seed, its trace key and its policy spec, so serial and
   parallel executions of the same sweep produce identical
@@ -35,7 +38,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Sequence
 
 import numpy as np
 
@@ -290,10 +293,10 @@ class ResultCache:
 _WORKER_TRACES: Dict[str, TraceSplit] = {}
 
 
-def _worker_initializer(payload: bytes) -> None:
-    """Unpickle the shared trace mapping once per worker process."""
+def _worker_initializer(traces: Mapping[str, TraceSplit]) -> None:
+    """Install the shared trace mapping once per worker process."""
     _WORKER_TRACES.clear()
-    _WORKER_TRACES.update(pickle.loads(payload))
+    _WORKER_TRACES.update(traces)
 
 
 def _execute_cell(
@@ -332,9 +335,10 @@ def _worker_run_shard(
 ) -> SimulationResult:
     """Run one *shard* of a cell inside a worker process.
 
-    The worker cuts the shard's trace slice from the shared pickled split
-    (``positions`` is the only per-task payload beyond the cell itself) and
-    runs the identical per-shard simulation the serial
+    The worker cuts the shard's trace slice from the split the pool
+    initializer installed (``positions`` is the only per-task payload beyond
+    the cell itself); the slice carries the split's cached indexes restricted
+    to the shard.  It runs the identical per-shard simulation the serial
     :meth:`Simulator._run_sharded` loop would, so pool and serial sharded
     executions merge to byte-identical results.
     """
@@ -358,7 +362,8 @@ class ParallelRunner:
     ----------
     traces:
         Mapping from trace key to the :class:`~repro.traces.trace.TraceSplit`
-        each cell simulates against.  Prepared once; pickled once per pool.
+        each cell simulates against.  Prepared once; inherited by pool
+        workers under ``fork``, pickled once per worker otherwise.
     workers:
         Number of worker processes.  ``0`` or ``1`` runs cells serially
         in-process (still using the cache), which is also the deterministic
@@ -394,7 +399,7 @@ class ParallelRunner:
         When >= 2, shardable cells are split into that many function
         partitions (see :mod:`repro.simulation.sharding`).  With
         ``workers > 1`` each partition becomes its *own* pool task — the
-        worker slices its shard from the shared pickled trace, so one big
+        worker slices its shard from the shared trace, so one big
         cell parallelizes across processes instead of serializing on the
         slowest whole-cell task; the parent merges the per-shard results.
         Serially, the :class:`Simulator` runs its in-process sharded loop.
@@ -486,6 +491,8 @@ class ParallelRunner:
         # Computed lazily: hashing every trace's invocation matrix is only
         # needed once cache keys are requested.
         self._trace_fingerprints: Dict[str, tuple[str, str]] | None = None
+        # Per-shard function positions by trace key, cut on first use.
+        self._shard_positions: Dict[str, List[np.ndarray]] = {}
 
     # ------------------------------------------------------------------ #
     def cell(self, name: str, spec: PolicySpec, trace_key: str, base_seed: int = 0) -> SweepCell:
@@ -609,6 +616,8 @@ class ParallelRunner:
         Building the policy here is construction only (no offline phase);
         it is needed to consult ``shard_safe``.  Fallback reasons are warned
         parent-side so they surface even when the cell then runs in a worker.
+        The assignment depends only on the trace key, so it is computed once
+        per key and shared by that key's cells.
         """
         if self.shards < 2:
             return None
@@ -634,18 +643,26 @@ class ParallelRunner:
                 stacklevel=2,
             )
             return None
-        assignment = shard_assignment(
-            self.shards, split.simulation, self.shard_placement, training_trace=training
-        )
-        return [np.flatnonzero(assignment == shard) for shard in range(self.shards)]
+        plan = self._shard_positions.get(cell.trace_key)
+        if plan is None:
+            assignment = shard_assignment(
+                self.shards, split.simulation, self.shard_placement, training_trace=training
+            )
+            plan = [np.flatnonzero(assignment == shard) for shard in range(self.shards)]
+            self._shard_positions[cell.trace_key] = plan
+        return plan
 
-    def _run_pool(self, cells: Iterable[SweepCell]) -> Dict[str, SimulationResult]:
-        payload = pickle.dumps(self.traces, protocol=pickle.HIGHEST_PROTOCOL)
+    def _run_pool(self, cells: Sequence[SweepCell]) -> Dict[str, SimulationResult]:
+        # Index each simulation window before the pool starts: fork workers
+        # inherit the index, and their shards restrict it instead of sorting.
+        # Warm-up tails stay per shard; building them here measured slower.
+        for key in dict.fromkeys(cell.trace_key for cell in cells):
+            self.traces[key].simulation.invocation_index()
         computed: Dict[str, SimulationResult] = {}
         with ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_worker_initializer,
-            initargs=(payload,),
+            initargs=(self.traces,),
         ) as pool:
             whole_futures = []
             sharded: List[tuple[SweepCell, list]] = []

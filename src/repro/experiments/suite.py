@@ -2,9 +2,9 @@
 
 :class:`ExperimentSuite` scales the paper's evaluation from "one workload,
 one policy at a time" to "(policy × seed) cells fanned out over a process
-pool".  It prepares one workload per seed (generated and split once, shipped
-to the workers in pickled form by :class:`~repro.experiments.parallel
-.ParallelRunner`), then runs the sweep in two stages:
+pool".  It prepares one workload per seed (generated and split once, handed
+to the workers by :class:`~repro.experiments.parallel.ParallelRunner`), then
+runs the sweep in two stages:
 
 1. every seed's SPES cell — these fix the FaaSCache capacity per seed
    (the paper sets it to SPES's peak memory usage on the same workload);

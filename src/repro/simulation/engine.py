@@ -97,7 +97,7 @@ from repro.simulation.results import (
     SimulationResult,
 )
 from repro.simulation.vector_policy import DictPolicyAdapter, VectorizedPolicy
-from repro.traces.trace import InvocationIndex, Trace
+from repro.traces.trace import InvocationIndex, Trace, remap_csr
 
 # The engine catalog constants (ENGINE_IMPLEMENTATIONS, MEMORY_MODES,
 # ENGINE_VERSION) historically lived here and are imported from this module
@@ -313,7 +313,8 @@ class Simulator:
         Exposed separately from :meth:`_run_sharded` so the parallel runner
         can construct the identical per-shard simulation inside worker
         processes (the shard's trace slice is cut worker-side from the
-        shared pickled trace).
+        trace the pool handed the worker, with any cached index restricted
+        to the shard).
         """
         sub_cluster = None
         if self.cluster is not None:
@@ -754,11 +755,7 @@ def _remap_index(
         dtype=np.int64,
         count=source.n_functions,
     )
-    positions = remap[source.indices]
-    known = positions >= 0
-    kept = np.zeros(known.size + 1, dtype=np.int64)
-    np.cumsum(known, out=kept[1:])
-    return kept[source.indptr], positions[known], source.counts[known]
+    return remap_csr(source, remap)
 
 
 def simulate_policy(

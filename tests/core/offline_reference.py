@@ -17,6 +17,8 @@ from repro.core.indeterminate import StrategyOutcome
 from repro.core.predictive import PredictiveValues
 from repro.core.sequences import InvocationSummary
 
+from dict_policies import prediction_matches
+
 
 def extract_sequences(series: Sequence[int] | np.ndarray) -> InvocationSummary:
     """Extract WT/AT/AN sequences by walking every invoked minute."""
@@ -133,7 +135,7 @@ def evaluate_possible_strategy(
         preload = (
             last_invocation is not None
             and not predictive.is_empty
-            and predictive.matches(minute + 1, last_invocation, theta_prewarm)
+            and prediction_matches(predictive, minute + 1, last_invocation, theta_prewarm)
         )
         if preload:
             resident = True

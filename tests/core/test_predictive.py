@@ -46,19 +46,3 @@ class TestPrediction:
     def test_predicted_times_window(self):
         values = PredictiveValues.from_range(5, 8)
         assert values.predicted_times(100) == [(105, 108)]
-
-    def test_matches_inside_prewarm_window(self):
-        values = PredictiveValues.from_discrete([30])
-        assert values.matches(128, last_invocation=100, theta_prewarm=2)
-        assert values.matches(132, last_invocation=100, theta_prewarm=2)
-        assert not values.matches(127, last_invocation=100, theta_prewarm=2)
-        assert not values.matches(133, last_invocation=100, theta_prewarm=2)
-
-    def test_matches_window_prediction(self):
-        values = PredictiveValues.from_range(10, 20)
-        assert values.matches(109, last_invocation=100, theta_prewarm=1)
-        assert values.matches(121, last_invocation=100, theta_prewarm=1)
-        assert not values.matches(122, last_invocation=100, theta_prewarm=1)
-
-    def test_empty_never_matches(self):
-        assert not PredictiveValues.none().matches(5, 0, 10)

@@ -1,7 +1,6 @@
 """Tests for the per-function online state."""
 
 from repro.core.categories import FunctionCategory
-from repro.core.predictive import PredictiveValues
 from repro.core.state import FunctionState
 
 
@@ -73,27 +72,3 @@ class TestSortedWaitingTimes:
         other.online_waiting_times.append(2)  # its view is stale until read
         assert state == other
         assert "sorted" not in repr(state)
-
-
-class TestIdleAndPreload:
-    def test_idle_minutes_without_invocation(self):
-        state = make_state()
-        assert state.idle_minutes(4) == 5
-
-    def test_idle_minutes_after_invocation(self):
-        state = make_state()
-        state.record_invocation(10, cold=True)
-        assert state.idle_minutes(10) == 0
-        assert state.idle_minutes(13) == 3
-
-    def test_preload_due_requires_history_and_predictions(self):
-        state = make_state(predictive=PredictiveValues.from_discrete([10]))
-        assert not state.preload_due(5)
-        state.record_invocation(0, cold=True)
-        assert state.preload_due(9)
-        assert not state.preload_due(20)
-
-    def test_preload_due_empty_prediction(self):
-        state = make_state()
-        state.record_invocation(0, cold=True)
-        assert not state.preload_due(1)

@@ -11,7 +11,10 @@ They share each shipped policy's ``name``, so a run's
 
 Only shared primitives come from ``repro`` (function state, offline
 categorization, adaptive strategies, idle-time histograms, dependency
-mining); the stepping is all here.
+mining); the stepping is all here, as are the per-minute state queries
+(:func:`idle_minutes`, :func:`preload_due`, :func:`prediction_matches`)
+that ``SpesPolicy``'s eviction calendar and the closed-form offline
+validation replaced.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from repro.core.adaptive import AdjustingStrategy, OnlineCorrelationTracker
 from repro.core.categories import FunctionCategory
 from repro.core.config import SpesConfig
 from repro.core.offline import CategorizationResult, OfflineCategorizer
+from repro.core.predictive import PredictiveValues
 from repro.core.state import FunctionState
 from repro.simulation.policy_base import ProvisioningPolicy
 from repro.traces.schema import FunctionRecord
@@ -43,7 +47,36 @@ __all__ = [
     "DictDefusePolicy",
     "DictFaasCachePolicy",
     "DictLcsPolicy",
+    "idle_minutes",
+    "preload_due",
+    "prediction_matches",
 ]
+
+
+def prediction_matches(
+    predictive: PredictiveValues, minute: int, last_invocation: int, theta_prewarm: int
+) -> bool:
+    """True when a predicted invocation falls within ``theta_prewarm`` of ``minute``."""
+    for low, high in predictive.predicted_times(last_invocation):
+        if low - theta_prewarm <= minute <= high + theta_prewarm:
+            return True
+    return False
+
+
+def idle_minutes(state: FunctionState, minute: int) -> int:
+    """Idle minutes accumulated up to and including ``minute``."""
+    if state.last_invocation is None:
+        return minute + 1
+    return max(0, minute - state.last_invocation)
+
+
+def preload_due(state: FunctionState, minute: int) -> bool:
+    """True when a predicted invocation justifies keeping/loading the instance."""
+    if state.last_invocation is None or state.predictive.is_empty:
+        return False
+    return prediction_matches(
+        state.predictive, minute, state.last_invocation, state.theta_prewarm
+    )
 
 
 class DictSpesPolicy(ProvisioningPolicy):
@@ -294,14 +327,14 @@ class DictSpesPolicy(ProvisioningPolicy):
                 continue
             next_minute = minute + 1
             keep = (
-                state.preload_due(next_minute)
+                preload_due(state, next_minute)
                 or next_minute < self._prediction_hold_until.get(function_id, 0)
                 or next_minute < self._correlated_prewarm_until.get(function_id, 0)
                 or next_minute < self._online_prewarm_until.get(function_id, 0)
             )
             if keep:
                 continue
-            if state.idle_minutes(minute) >= state.theta_givenup:
+            if idle_minutes(state, minute) >= state.theta_givenup:
                 self._resident.discard(function_id)
 
 

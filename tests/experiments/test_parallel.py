@@ -24,7 +24,7 @@ from repro.experiments.parallel import (
     register_policy,
 )
 from repro.experiments.suite import ExperimentSuite
-from repro.traces import AzureTraceGenerator, GeneratorProfile, split_trace
+from repro.traces import AzureTraceGenerator, GeneratorProfile, SparseTrace, split_trace
 
 
 @pytest.fixture(scope="module")
@@ -284,6 +284,61 @@ class TestParallelRunner:
             }.items()
         }
         assert len(set(fingerprints.values())) == 1, fingerprints
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("prebuilt", [False, True], ids=["cold", "indexed"])
+    def test_one_cell_agrees_whoever_built_the_index(self, prebuilt, sparse):
+        """Pool-sharded, serial-sharded and unsharded runs of one cell agree,
+        whether or not the split arrives with its indexes already built."""
+
+        def fresh_split():
+            trace = AzureTraceGenerator(
+                GeneratorProfile(
+                    n_functions=30, duration_days=2.0, unseen_window_days=0.5, seed=13
+                )
+            ).generate()
+            fresh = split_trace(SparseTrace.from_dense(trace) if sparse else trace, 1.5)
+            if prebuilt:
+                fresh.simulation.invocation_index()
+                fresh.training.invocation_index(fresh.training.duration_minutes - 60)
+            return fresh
+
+        spec = {"fixed-5min": PolicySpec.of("fixed-keepalive", keep_alive_minutes=5)}
+        fingerprints = {
+            label: ParallelRunner({"w": fresh_split()}, warmup_minutes=60, **knobs)
+            .run_policies(spec, trace_key="w", base_seed=3)["fixed-5min"]
+            .deterministic_fingerprint()
+            for label, knobs in {
+                "unsharded": {},
+                "serial": {"shards": 2},
+                "pool": {"shards": 2, "workers": 2},
+            }.items()
+        }
+        assert len(set(fingerprints.values())) == 1, fingerprints
+
+    def test_shard_assignment_runs_once_per_trace_key(self, split, monkeypatch):
+        from repro.experiments import parallel
+        from repro.simulation import ShardFallbackWarning
+
+        calls = []
+        original = parallel.shard_assignment
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "shard_assignment", counting)
+        runner = ParallelRunner({"w": split}, warmup_minutes=60, shards=2, workers=2)
+        cells = [
+            runner.cell(name, PolicySpec.of(name), "w")
+            for name in ("fixed-10min", "no-keepalive", "spes")
+        ]
+        # The fallback reason stays per cell: only the unsafe cell warns.
+        with pytest.warns(ShardFallbackWarning, match="'spes'") as caught:
+            results = runner.run_cells(cells)
+        assert len(caught) == 1
+        assert len(calls) == 1
+        assert sorted(results) == ["fixed-10min", "no-keepalive", "spes"]
 
     def test_sharded_runner_falls_back_for_unsafe_policy(self, split):
         from repro.simulation import ShardFallbackWarning

@@ -21,6 +21,8 @@ from repro.simulation import simulate_policy
 from repro.traces import FunctionRecord, Trace
 from repro.traces.schema import TraceMetadata
 
+from dict_policies import prediction_matches
+
 # --------------------------------------------------------------------------- #
 # Strategies
 # --------------------------------------------------------------------------- #
@@ -152,7 +154,7 @@ class TestPredictiveProperties:
     def test_predicted_time_always_matches_window(self, values, last, theta):
         predictive = PredictiveValues.from_discrete(values)
         for value in values:
-            assert predictive.matches(last + value, last, theta)
+            assert prediction_matches(predictive, last + value, last, theta)
 
 
 # --------------------------------------------------------------------------- #
