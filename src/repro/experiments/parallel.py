@@ -30,6 +30,7 @@ factories with unpicklable closures are never shipped across processes.
 from __future__ import annotations
 
 import inspect
+import multiprocessing
 import os
 import pickle
 import tempfile
@@ -653,14 +654,19 @@ class ParallelRunner:
         return plan
 
     def _run_pool(self, cells: Sequence[SweepCell]) -> Dict[str, SimulationResult]:
-        # Index each simulation window before the pool starts: fork workers
-        # inherit the index, and their shards restrict it instead of sorting.
-        # Warm-up tails stay per shard; building them here measured slower.
-        for key in dict.fromkeys(cell.trace_key for cell in cells):
-            self.traces[key].simulation.invocation_index()
+        # Under fork, index each simulation window before the pool starts:
+        # the workers inherit the index, and their shards restrict it instead
+        # of sorting.  Other start methods pickle the traces without their
+        # indexes, so there the build would be wasted.  Warm-up tails stay
+        # per shard; building them here measured slower.
+        context = multiprocessing.get_context()
+        if context.get_start_method() == "fork":
+            for key in dict.fromkeys(cell.trace_key for cell in cells):
+                self.traces[key].simulation.invocation_index()
         computed: Dict[str, SimulationResult] = {}
         with ProcessPoolExecutor(
             max_workers=self.workers,
+            mp_context=context,
             initializer=_worker_initializer,
             initargs=(self.traces,),
         ) as pool:

@@ -466,11 +466,20 @@ class Trace:
 
         Restriction drops the other functions' entries and renumbers the
         kept ones in order, so it equals a fresh build over the shard
-        without its sort.
+        without its sort.  That holds only for an index numbered in record
+        order, the order the shard builds in: a dense trace whose counts
+        mapping came in another order, or lacked some functions, numbers
+        its index differently, and its shards build their own.
         """
         cached = dict(getattr(self, "_tail_indexes", {}))
         if self._invocation_index is not None:
             cached[0] = self._invocation_index
+        record_ids = tuple(self._records)
+        cached = {
+            start: index
+            for start, index in cached.items()
+            if index.function_ids == record_ids
+        }
         if not cached:
             return shard
         remap = np.full(len(self._records), -1, dtype=np.int64)

@@ -24,7 +24,13 @@ from repro.experiments.parallel import (
     register_policy,
 )
 from repro.experiments.suite import ExperimentSuite
-from repro.traces import AzureTraceGenerator, GeneratorProfile, SparseTrace, split_trace
+from repro.traces import (
+    AzureTraceGenerator,
+    GeneratorProfile,
+    SparseTrace,
+    Trace,
+    split_trace,
+)
 
 
 @pytest.fixture(scope="module")
@@ -285,11 +291,13 @@ class TestParallelRunner:
         }
         assert len(set(fingerprints.values())) == 1, fingerprints
 
-    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("layout", ["dense", "dense-reordered", "sparse"])
     @pytest.mark.parametrize("prebuilt", [False, True], ids=["cold", "indexed"])
-    def test_one_cell_agrees_whoever_built_the_index(self, prebuilt, sparse):
+    def test_one_cell_agrees_whoever_built_the_index(self, prebuilt, layout):
         """Pool-sharded, serial-sharded and unsharded runs of one cell agree,
-        whether or not the split arrives with its indexes already built."""
+        whether or not the split arrives with its indexes already built.
+        ``dense-reordered`` passes the counts in reverse record order, so
+        its index is numbered apart from its records."""
 
         def fresh_split():
             trace = AzureTraceGenerator(
@@ -297,7 +305,16 @@ class TestParallelRunner:
                     n_functions=30, duration_days=2.0, unseen_window_days=0.5, seed=13
                 )
             ).generate()
-            fresh = split_trace(SparseTrace.from_dense(trace) if sparse else trace, 1.5)
+            if layout == "sparse":
+                trace = SparseTrace.from_dense(trace)
+            elif layout == "dense-reordered":
+                ids = [record.function_id for record in trace.records()]
+                trace = Trace(
+                    trace.records(),
+                    {fid: trace.series(fid) for fid in reversed(ids)},
+                    trace.metadata,
+                )
+            fresh = split_trace(trace, 1.5)
             if prebuilt:
                 fresh.simulation.invocation_index()
                 fresh.training.invocation_index(fresh.training.duration_minutes - 60)
@@ -315,6 +332,36 @@ class TestParallelRunner:
             }.items()
         }
         assert len(set(fingerprints.values())) == 1, fingerprints
+
+    def test_spawn_pool_agrees_and_leaves_the_parent_unindexed(self, monkeypatch):
+        """A spawn pool pickles the traces without their indexes, so the
+        parent builds none for it; its results equal the serial run's."""
+        import multiprocessing
+
+        from repro.experiments import parallel
+
+        def fresh_split():
+            profile = GeneratorProfile(
+                n_functions=30, duration_days=2.0, unseen_window_days=0.5, seed=13
+            )
+            return split_trace(AzureTraceGenerator(profile).generate(), 1.5)
+
+        specs = {
+            "fixed-5min": PolicySpec.of("fixed-keepalive", keep_alive_minutes=5),
+            "no-keepalive": PolicySpec.of("no-keepalive"),
+        }
+        serial = ParallelRunner({"w": fresh_split()}, warmup_minutes=60)
+        expected = serial.run_policies(specs, trace_key="w", base_seed=3)
+
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(parallel.multiprocessing, "get_context", lambda: spawn)
+        pooled_split = fresh_split()
+        pooled = ParallelRunner({"w": pooled_split}, warmup_minutes=60, workers=2)
+        results = pooled.run_policies(specs, trace_key="w", base_seed=3)
+        assert pooled_split.simulation._invocation_index is None
+        assert {k: r.deterministic_fingerprint() for k, r in results.items()} == {
+            k: r.deterministic_fingerprint() for k, r in expected.items()
+        }
 
     def test_shard_assignment_runs_once_per_trace_key(self, split, monkeypatch):
         from repro.experiments import parallel

@@ -32,10 +32,14 @@ def sharded_traces(draw):
             max_size=n_functions,
         )
     )
+    # The counts mapping may come in any order and omit functions (they get
+    # zero series): a dense index is then numbered in counts order.
+    order = draw(st.permutations(range(n_functions)))
+    given = draw(st.integers(1, n_functions))
     records = [FunctionRecord(f"f{i}", f"a{i % 2}", "o") for i in range(n_functions)]
     trace = Trace(
         records,
-        {f"f{i}": row for i, row in enumerate(rows)},
+        {f"f{i}": rows[i] for i in order[:given]},
         TraceMetadata(name="t", duration_minutes=duration),
     )
     positions = draw(
@@ -60,12 +64,14 @@ def test_carried_indexes_equal_fresh_builds(case, sparse):
     trace, positions, start = case
     if sparse:
         trace = SparseTrace.from_dense(trace)
-    trace.invocation_index()
+    in_record_order = trace.invocation_index().function_ids == tuple(trace._records)
     trace.invocation_index(start)
     shard = trace.shard(positions)
-    # Carried, not rebuilt on first use.
-    assert shard._invocation_index is not None
-    assert set(shard._tail_indexes) == {start}
+    # Carried, not rebuilt on first use, whenever the parent's index is
+    # numbered in record order; always so for a sparse trace.
+    assert in_record_order or not sparse
+    assert (shard._invocation_index is not None) == in_record_order
+    assert set(getattr(shard, "_tail_indexes", {})) == ({start} if in_record_order else set())
     assert_same_index(shard.invocation_index(), shard._minute_index(0))
     assert_same_index(shard.invocation_index(start), shard._minute_index(start))
 
@@ -80,6 +86,22 @@ def test_shard_of_unindexed_trace_builds_its_own(case, sparse):
     assert shard._invocation_index is None
     assert not getattr(shard, "_tail_indexes", {})
     assert_same_index(shard.invocation_index(start), shard._minute_index(start))
+
+
+def test_shard_of_trace_indexed_in_counts_order_keeps_its_traffic():
+    records = [FunctionRecord(f"f{i}", "a", "o") for i in range(3)]
+    trace = Trace(
+        records,
+        {"f0": [1, 0, 2], "f2": [0, 3, 0]},
+        TraceMetadata(name="t", duration_minutes=3),
+    )
+    assert trace.invocation_index().function_ids == ("f0", "f2", "f1")
+    shard = trace.shard([1, 2])
+    assert [dict(shard.invocations_at(m)) for m in range(3)] == [{}, {"f2": 3}, {}]
+    index = shard.invocation_index()
+    assert index.function_ids == ("f1", "f2")
+    np.testing.assert_array_equal(index.indices, [1])
+    np.testing.assert_array_equal(index.counts, [3])
 
 
 def test_shard_keeps_fingerprint_of_a_fresh_cut():
