@@ -1,7 +1,8 @@
 """Engine throughput: simulated-minutes/second, before vs. after vectorization.
 
-The "before" is the ``reference`` engine — the original pure-Python
-minute loop over sets and dicts, which also re-scans the trace on every run.
+The "before" is the reference loop (``tests/reference_engine.py``, timed
+under the row name ``reference``) — the original pure-Python minute loop
+over sets and dicts, which also re-scans the trace on every run.
 The "after" is the default ``vectorized`` engine, which runs residency and
 memory accounting on numpy masks over the trace's cached invocation index.
 
@@ -35,6 +36,7 @@ from .conftest import save_and_print
 # explicitly, whatever the import mode or collection order.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from dict_policies import DictFixedKeepAlivePolicy, DictHybridFunctionPolicy  # noqa: E402
+from reference_engine import ORACLE, ReferenceSimulator  # noqa: E402
 
 #: The default workload of the paper's evaluation (ISSUE/acceptance shape).
 THROUGHPUT_CONFIG = ExperimentConfig(
@@ -87,31 +89,37 @@ LISTENING_POLICIES = tuple(
 
 
 def _sweep_seconds(split, engine: str, policies=ENGINE_BOUND_POLICIES) -> float:
-    """Wall-clock of one policy sweep (all engine-bound policies) per engine."""
+    """Wall-clock of one policy sweep (all engine-bound policies) per engine.
+
+    ``engine`` is an engine name or :data:`ORACLE`, the reference loop.
+    """
     started = time.perf_counter()
     for _, factory in policies:
-        simulator = Simulator(split.simulation, warmup_minutes=0, engine=engine)
+        if engine == ORACLE:
+            simulator = ReferenceSimulator(split.simulation, warmup_minutes=0)
+        else:
+            simulator = Simulator(split.simulation, warmup_minutes=0, engine=engine)
         simulator.run(factory())
     return time.perf_counter() - started
 
 
-def test_engine_throughput_vectorized_vs_reference(throughput_split, output_dir):
+def test_engine_throughput_vectorized_vs_reference_loop(throughput_split, output_dir):
     split = throughput_split
     minutes = split.simulation.duration_minutes
     sweep_minutes = minutes * len(ENGINE_BOUND_POLICIES)
 
     # Warm both paths once (imports, numpy, the trace's invocation index).
     _sweep_seconds(split, "vectorized")
-    _sweep_seconds(split, "reference")
+    _sweep_seconds(split, ORACLE)
 
-    reference_seconds = min(_sweep_seconds(split, "reference") for _ in range(3))
+    reference_seconds = min(_sweep_seconds(split, ORACLE) for _ in range(3))
     vectorized_seconds = min(_sweep_seconds(split, "vectorized") for _ in range(3))
     speedup = reference_seconds / vectorized_seconds
 
     lines = [
         "Engine throughput - 400 functions, 14-day workload, 2-day window",
         f"policies per sweep: {', '.join(name for name, _ in ENGINE_BOUND_POLICIES)}",
-        f"reference engine:  {sweep_minutes / reference_seconds:>12.0f} sim-min/s"
+        f"reference loop:    {sweep_minutes / reference_seconds:>12.0f} sim-min/s"
         f"  ({reference_seconds:.3f}s per sweep)",
         f"vectorized engine: {sweep_minutes / vectorized_seconds:>12.0f} sim-min/s"
         f"  ({vectorized_seconds:.3f}s per sweep)",
@@ -199,7 +207,7 @@ def test_event_engine_throughput(throughput_split, output_dir):
     minutes = split.simulation.duration_minutes
     sweep_minutes = minutes * len(ENGINE_BOUND_POLICIES)
 
-    engines = ("vectorized", "event", "reference")
+    engines = ("vectorized", "event", ORACLE)
     for engine in engines:  # warm imports, index, jitter machinery
         _sweep_seconds(split, engine)
     seconds = {
@@ -253,7 +261,7 @@ def test_event_engine_throughput(throughput_split, output_dir):
     (output_dir / "BENCH_pr3.json").write_text(json.dumps(payload, indent=2) + "\n")
     # The event layer must stay cheaper than falling back to the reference
     # loop: sub-minute resolution may not cost more than losing vectorization.
-    assert seconds["event"] < seconds["reference"], payload
+    assert seconds["event"] < seconds[ORACLE], payload
 
 
 def test_event_cpu_engine_throughput(throughput_split, output_dir):
@@ -488,7 +496,7 @@ def test_placement_overhead(throughput_split, output_dir):
     sweep_minutes = minutes * len(ENGINE_BOUND_POLICIES)
     engine_seconds = {
         engine: _sweep_seconds(split, engine)
-        for engine in ("vectorized", "event", "reference")
+        for engine in ("vectorized", "event", ORACLE)
     }
 
     payload = {

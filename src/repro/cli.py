@@ -43,16 +43,10 @@ Commands
     consolidated markdown results book.  By default the hermetic azure2019
     fixture pipeline feeds every RQ and the output lands in
     ``docs/RESULTS.md`` (the committed, CI-diffed copy); ``--azure-dir DIR``
-    runs the same campaign on the real dataset.
-``latency-rq``
-    The RQ5 report: per continuous-drift scenario, the cold-start latency
-    tail (p50/p95/p99/max) of the feedback consumer vs. its open-loop twin,
-    from streaming ``event``-engine sweeps.
-``slowdown-rq``
-    The RQ6 report: per CPU-contention scenario, the per-invocation slowdown
-    (p50/p99) and SLO-violation rate of each policy × scheduler × cores
-    combination, from ``event``-engine sweeps with a finite per-node CPU
-    pool.
+    runs the same campaign on the real dataset.  Its RQ5 section (cold-start
+    latency tail, feedback vs. open-loop) and RQ6 section (slowdown and SLO
+    violations under finite cores) are streaming and ``--cores`` sweeps on
+    the event engine; ``sweep --engine event`` runs any one of their cells.
 ``cache``
     On-disk result-cache maintenance: ``--prune-days N`` deletes entries
     (and stray temporary files) older than N days.
@@ -472,70 +466,6 @@ def _command_results(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_latency_rq(args: argparse.Namespace) -> int:
-    from repro.experiments.rq5_latency import latency_rq, latency_rq_table
-
-    config = ExperimentConfig(
-        n_functions=args.functions,
-        seed=args.seeds[0],
-        duration_days=args.days,
-        training_days=args.training_days,
-    )
-    try:
-        report = latency_rq(
-            scenarios=args.scenarios,
-            policies=args.policies,
-            seeds=args.seeds,
-            config=config,
-            streaming=not args.no_streaming,
-            workers=args.workers,
-            cache_dir=args.cache_dir,
-        )
-    except (KeyError, ValueError) as error:
-        return _fail(error)
-    print(latency_rq_table(report).render(float_format="{:.1f}"))
-    mode = "open-loop training" if args.no_streaming else "streaming"
-    print(
-        f"\nlatency-rq: {len(args.scenarios)} scenario(s) x "
-        f"{len(args.policies)} policies x {len(args.seeds)} seed(s), "
-        f"engine event, {mode}"
-    )
-    return 0
-
-
-def _command_slowdown_rq(args: argparse.Namespace) -> int:
-    from repro.experiments.rq6_slowdown import slowdown_rq, slowdown_rq_table
-
-    config = ExperimentConfig(
-        n_functions=args.functions,
-        seed=args.seeds[0],
-        duration_days=args.days,
-        training_days=args.training_days,
-    )
-    try:
-        report = slowdown_rq(
-            scenarios=args.scenarios,
-            policies=args.policies,
-            schedulers=args.schedulers,
-            cores=args.cores,
-            seeds=args.seeds,
-            config=config,
-            slo_ms=args.slo_ms,
-            workers=args.workers,
-            cache_dir=args.cache_dir,
-        )
-    except (KeyError, ValueError) as error:
-        return _fail(error)
-    print(slowdown_rq_table(report).render(float_format="{:.2f}"))
-    combos = len(args.schedulers) * len(args.cores)
-    print(
-        f"\nslowdown-rq: {len(args.scenarios)} scenario(s) x "
-        f"{len(args.policies)} policies x {combos} scheduler/core combo(s) x "
-        f"{len(args.seeds)} seed(s), engine event"
-    )
-    return 0
-
-
 def _command_azure_fetch(args: argparse.Namespace) -> int:
     import tarfile
     from pathlib import Path
@@ -928,128 +858,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="suppress the per-section progress notes on stderr",
     )
     results.set_defaults(handler=_command_results)
-
-    latency_rq = subparsers.add_parser(
-        "latency-rq",
-        help="RQ5: cold-start latency tail, feedback vs. open-loop policies",
-    )
-    latency_rq.add_argument(
-        "--functions", type=int, default=400, help="number of synthetic functions"
-    )
-    latency_rq.add_argument(
-        "--days", type=float, default=14.0, help="total workload duration in days"
-    )
-    latency_rq.add_argument(
-        "--training-days",
-        type=float,
-        default=12.0,
-        help="days reserved for training (unused while streaming; they size "
-        "the simulation window)",
-    )
-    latency_rq.add_argument(
-        "--seeds",
-        type=int,
-        nargs="+",
-        default=[2024],
-        help="workload seeds; latency distributions are pooled across seeds",
-    )
-    latency_rq.add_argument(
-        "--scenarios",
-        nargs="+",
-        default=["rotating-periods", "load-ramp", "seasonal-mix"],
-        help="scenario names to evaluate (default: the continuous-drift catalog)",
-    )
-    latency_rq.add_argument(
-        "--policies",
-        nargs="+",
-        default=["fixed-10min", "latency-keepalive"],
-        help="policies to compare (default: open-loop fixed vs. latency-aware)",
-    )
-    latency_rq.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker processes for each scenario's sweep (0 = serial)",
-    )
-    latency_rq.add_argument(
-        "--cache-dir",
-        default=None,
-        help="directory for the on-disk result cache",
-    )
-    latency_rq.add_argument(
-        "--no-streaming",
-        action="store_true",
-        help="give every policy its training window back (open-loop evaluation)",
-    )
-    latency_rq.set_defaults(handler=_command_latency_rq)
-
-    slowdown_rq = subparsers.add_parser(
-        "slowdown-rq",
-        help="RQ6: per-invocation slowdown and SLO violations under finite cores",
-    )
-    slowdown_rq.add_argument(
-        "--functions", type=int, default=400, help="number of synthetic functions"
-    )
-    slowdown_rq.add_argument(
-        "--days", type=float, default=14.0, help="total workload duration in days"
-    )
-    slowdown_rq.add_argument(
-        "--training-days",
-        type=float,
-        default=12.0,
-        help="days used for offline modelling",
-    )
-    slowdown_rq.add_argument(
-        "--seeds",
-        type=int,
-        nargs="+",
-        default=[2024],
-        help="workload seeds; latency distributions are pooled across seeds",
-    )
-    slowdown_rq.add_argument(
-        "--scenarios",
-        nargs="+",
-        default=["cpu-starved", "long-duration-mix"],
-        help="scenario names to evaluate (default: the CPU-contention catalog)",
-    )
-    slowdown_rq.add_argument(
-        "--policies",
-        nargs="+",
-        default=["fixed-10min", "spes"],
-        help="policies to compare (default: fixed keep-alive vs. the paper's)",
-    )
-    slowdown_rq.add_argument(
-        "--schedulers",
-        nargs="+",
-        choices=scheduler_names(),
-        default=["fifo", "srtf"],
-        help="intra-node CPU disciplines to sweep (default: fifo vs. srtf)",
-    )
-    slowdown_rq.add_argument(
-        "--cores",
-        type=int,
-        nargs="+",
-        default=[2],
-        help="per-node core counts to sweep",
-    )
-    slowdown_rq.add_argument(
-        "--slo-ms",
-        type=float,
-        default=None,
-        help="override every scenario's latency SLO in milliseconds",
-    )
-    slowdown_rq.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker processes for each scenario's sweep (0 = serial)",
-    )
-    slowdown_rq.add_argument(
-        "--cache-dir",
-        default=None,
-        help="directory for the on-disk result cache",
-    )
-    slowdown_rq.set_defaults(handler=_command_slowdown_rq)
 
     cache = subparsers.add_parser(
         "cache",

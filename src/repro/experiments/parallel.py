@@ -626,7 +626,6 @@ class ParallelRunner:
         training = None if self.streaming else split.training
         reason = shard_fallback_reason(
             cell.spec.build(seed=cell.seed),
-            self.engine,
             self._cell_cluster(cell.trace_key),
             self.shards,
             self.shard_placement,

@@ -15,7 +15,9 @@ exact).  The default policy set pairs the feedback consumer
 (``fixed-10min``): both start from identical keep-alive behaviour,
 so any divergence in the table is attributable to the feedback loop alone.
 
-This module backs the ``spes-repro latency-rq`` CLI subcommand.
+``spes-repro results`` renders this report as the book's RQ5 section; a
+single cell of it is ``spes-repro sweep --engine event --streaming
+--scenario <name> --policies fixed-10min latency-keepalive``.
 """
 
 from __future__ import annotations

@@ -17,7 +17,9 @@ against ``srtf`` (the strongest size-aware discipline) on the two scenarios
 built for the contrast — ``cpu-starved`` (raw contention) and
 ``long-duration-mix`` (bimodal service times, where fifo convoys are worst).
 
-This module backs the ``spes-repro slowdown-rq`` CLI subcommand.
+``spes-repro results`` renders this report as the book's RQ6 section; a
+single cell of it is ``spes-repro sweep --engine event --scenario <name>
+--cores <n> --scheduler <discipline>``.
 """
 
 from __future__ import annotations

@@ -180,8 +180,8 @@ class ScenarioWorkload:
         configuration too when the resulting spec runs the event engine
         (minute-granular engines take no event config, matching how the
         experiment suite wires scenario workloads).  The returned spec is
-        validated, so e.g. a reference-engine override against a cluster
-        scenario fails here with the shared message instead of mid-run.
+        validated, so e.g. an unknown engine override fails here with the
+        shared message instead of mid-run.
         """
         from repro.simulation.spec import RunSpec
 

@@ -13,7 +13,7 @@ This matches the accounting of §II-B/§V-A: one memory unit per loaded
 instance-minute, one WMT unit per loaded-but-idle instance-minute, one cold
 start per invoked-while-absent minute.
 
-Three interchangeable implementations of this contract exist:
+Two implementations of this contract exist:
 
 ``vectorized`` (the default)
     Residency and accounting run on numpy boolean masks over function
@@ -35,11 +35,9 @@ Three interchangeable implementations of this contract exist:
     (possibly sharded) memory cap, counting forced evictions and
     capacity-induced cold starts.
 
-``reference``
-    The original pure-Python loop over sets and dicts, kept as the executable
-    specification of the uncapped accounting rules.  The regression tests
-    assert that both implementations produce identical statistics; use it
-    when auditing a change to the accounting semantics.
+    The pure-Python loop over sets and dicts this engine replaced is kept in
+    ``tests/reference_engine.py`` as the executable specification the
+    equivalence tests compare both engines against.
 
 ``event``
     The vectorized minute loop with the sub-minute event layer of
@@ -82,13 +80,7 @@ from repro.simulation.memory import (
 )
 from repro.simulation.overhead import OverheadTimer
 from repro.simulation.policy_base import ProvisioningPolicy, listens_to_feedback
-from repro.simulation.spec import (
-    DEFAULT_WARMUP_MINUTES,
-    ENGINE_IMPLEMENTATIONS,
-    ENGINE_VERSION,
-    MEMORY_MODES,
-    RunSpec,
-)
+from repro.simulation.spec import DEFAULT_WARMUP_MINUTES, RunSpec
 from repro.simulation.sharding import shard_assignment, shard_fallback_reason
 from repro.simulation.results import (
     ClusterStats,
@@ -99,15 +91,7 @@ from repro.simulation.results import (
 from repro.simulation.vector_policy import DictPolicyAdapter, VectorizedPolicy
 from repro.traces.trace import InvocationIndex, Trace, remap_csr
 
-# The engine catalog constants (ENGINE_IMPLEMENTATIONS, MEMORY_MODES,
-# ENGINE_VERSION) historically lived here and are imported from this module
-# all over the tree; they now live in
-# :mod:`repro.simulation.spec` (the validation layer must not import the
-# engine) and are re-exported above for compatibility.
 __all__ = [
-    "ENGINE_IMPLEMENTATIONS",
-    "MEMORY_MODES",
-    "ENGINE_VERSION",
     "ShardFallbackWarning",
     "Simulator",
     "simulate_policy",
@@ -145,13 +129,10 @@ class Simulator:
         condition.  Set to 0 to start from a completely cold platform.
     engine:
         Which implementation runs the minute loop: ``"vectorized"``
-        (default), ``"reference"`` or ``"event"`` (see the module docstring).
+        (default) or ``"event"`` (see the module docstring).
     cluster:
         Optional :class:`~repro.simulation.cluster.ClusterModel` imposing a
-        (possibly sharded) memory cap on the resident set.  Requires a
-        mask-based engine (``vectorized`` or ``event``); the reference
-        engine remains the executable specification of the paper's
-        *uncapped* setting.
+        (possibly sharded) memory cap on the resident set.
     events:
         Optional :class:`~repro.simulation.events.EventConfig` for the event
         engine (jitter seed, duration scaling, feedback-window horizon).
@@ -164,7 +145,7 @@ class Simulator:
         :class:`~repro.simulation.results.SimulationResult` that is
         fingerprint-identical to the unsharded run.  Sharding applies only
         when the configuration decomposes exactly (``shard_safe`` policy,
-        mask-based engine, migration-free node-aligned cluster, …);
+        migration-free node-aligned cluster, …);
         otherwise :meth:`run` emits a :class:`ShardFallbackWarning` with the
         coupling that prevents it and executes unsharded.  ``0`` (default)
         and ``1`` mean unsharded.
@@ -180,8 +161,8 @@ class Simulator:
         (``FunctionRecord.memory_mb``, integer-KB quantized; functions
         without a join fall back to
         :data:`~repro.simulation.memory.DEFAULT_MEMORY_MB`) and report
-        MB-denominated usage/WMT/EMCR alongside the unit series.  Requires a
-        mask-based engine; residency *decisions* are unchanged unless the
+        MB-denominated usage/WMT/EMCR alongside the unit series.  Residency
+        *decisions* are unchanged unless the
         cluster model itself is MB-denominated
         (``ClusterModel.capacity_unit="mb"``, which requires this mode).
     spec:
@@ -265,7 +246,6 @@ class Simulator:
         if self.shards >= 2:
             reason = shard_fallback_reason(
                 policy,
-                self.engine,
                 self.cluster,
                 self.shards,
                 self.shard_placement,
@@ -296,8 +276,6 @@ class Simulator:
         resident: Set[str] = set(self.initially_resident)
         resident |= self._warm_up(policy)
 
-        if self.engine == "reference":
-            return self._run_reference(policy, resident)
         tracker = None
         if self.engine == "event":
             # Checked on the policy as handed in, before any adapter wraps it.
@@ -422,14 +400,14 @@ class Simulator:
             driver.seed_resident(initial_resident)
             # The adapter times only the wrapped policy's on_minute — its
             # own mapping/diff bookkeeping is engine machinery and stays out
-            # of the RQ2 overhead metric, matching the reference engine.
+            # of the RQ2 overhead metric.
             driver.overhead_timer = timer
             externally_timed = False
 
         resident = np.zeros(n_functions, dtype=bool)
         # Resident ids unknown to the trace (possible when a policy was
         # prepared against different metadata); kept out of the masks but
-        # charged exactly like the reference implementation charges them.
+        # charged one unit and one idle minute per minute, like any resident.
         extra: Set[str] = set()
         for function_id in initial_resident:
             position = index_of.get(function_id)
@@ -621,45 +599,6 @@ class Simulator:
         return self._finalize(
             policy, duration, stats, accountant, timer, cluster_stats, latency
         )
-
-    # ------------------------------------------------------------------ #
-    # Reference implementation (executable specification)
-    # ------------------------------------------------------------------ #
-    def _run_reference(
-        self, policy: ProvisioningPolicy, initial_resident: Set[str]
-    ) -> SimulationResult:
-        """The original per-minute loop over Python sets and dicts."""
-        trace = self.simulation_trace
-        duration = trace.duration_minutes
-
-        accountant = MemoryAccountant(duration)
-        timer = OverheadTimer()
-        stats: Dict[str, FunctionStats] = {}
-        resident: Set[str] = set(initial_resident)
-
-        for minute, invocations in trace.iter_minutes():
-            # 1-2. charge cold starts against the resident set entering the minute.
-            for function_id in invocations:
-                function_stats = stats.get(function_id)
-                if function_stats is None:
-                    function_stats = FunctionStats(function_id=function_id)
-                    stats[function_id] = function_stats
-                function_stats.invocations += 1
-                if function_id not in resident:
-                    function_stats.cold_starts += 1
-
-            # 3. invoked functions are loaded on demand for this minute.
-            loaded_this_minute = resident | set(invocations)
-
-            # 4. policy decides the resident set for the next minute.
-            with timer.measure():
-                next_resident = set(policy.on_minute(minute, invocations))
-
-            # 5. charge memory for this minute.
-            accountant.observe_minute(minute, loaded_this_minute, invocations)
-            resident = next_resident
-
-        return self._finalize(policy, duration, stats, accountant, timer)
 
     # ------------------------------------------------------------------ #
     def _finalize(

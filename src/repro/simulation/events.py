@@ -1,6 +1,6 @@
 """Sub-minute event layer: arrival timestamps, durations, latency tracking.
 
-The paper's simulation (and the ``vectorized``/``reference`` engines) is
+The paper's simulation (and the ``vectorized`` engine) is
 minute-bucketed: a cold start is a *count*, charged once per invoked minute a
 function is not resident.  A production serving system optimizes a latency
 *distribution* — how long requests actually waited on provisioning.  This

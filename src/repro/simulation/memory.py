@@ -21,7 +21,7 @@ Functions without a footprint fall back to :data:`DEFAULT_MEMORY_MB`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence, Set
+from typing import Dict, Mapping, Sequence
 
 import numpy as np
 
@@ -81,41 +81,6 @@ class MemoryAccountant:
         self._usage_kb: np.ndarray | None = None
         self._idle_kb: np.ndarray | None = None
 
-    def observe_minute(
-        self,
-        minute: int,
-        loaded: Set[str] | Iterable[str],
-        invocations: Mapping[str, int],
-    ) -> None:
-        """Charge one minute of memory usage.
-
-        Parameters
-        ----------
-        minute:
-            Simulation minute index.
-        loaded:
-            Function ids resident in memory during this minute (including
-            instances loaded on demand to serve this minute's invocations).
-        invocations:
-            ``{function_id: count}`` invoked during this minute.
-        """
-        if not 0 <= minute < self._duration:
-            raise IndexError(f"minute {minute} outside simulation of {self._duration} minutes")
-        loaded_set = set(loaded)
-        used = len(loaded_set)
-        active = sum(1 for function_id in loaded_set if function_id in invocations)
-        idle = used - active
-
-        self._usage[minute] = used
-        self._idle[minute] = idle
-        self._loaded_instance_minutes += used
-        self._active_instance_minutes += active
-        for function_id in loaded_set:
-            if function_id not in invocations:
-                self._wmt_per_function[function_id] = (
-                    self._wmt_per_function.get(function_id, 0) + 1
-                )
-
     def observe_batch(
         self,
         usage: np.ndarray,
@@ -127,12 +92,12 @@ class MemoryAccountant:
     ) -> None:
         """Charge a whole run's memory statistics in one call.
 
-        The vectorized simulation engine accumulates per-minute usage/idle
-        series and per-function wasted memory time as numpy arrays and hands
-        them over once, instead of paying a Python-level ``observe_minute``
-        call (set construction, per-function dict increments) for every
-        simulated minute.  The two entry points are equivalent: charging the
-        same run minute-by-minute or as one batch yields identical aggregates.
+        The simulation engine accumulates per-minute usage/idle series and
+        per-function wasted memory time as numpy arrays and hands them over
+        once, instead of charging every simulated minute with Python sets
+        and dicts.  The per-minute form is kept in ``tests/reference_engine.py``
+        (``MinuteAccountant.observe_minute``); charging one run either way
+        yields identical aggregates.
 
         Parameters
         ----------

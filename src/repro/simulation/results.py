@@ -161,9 +161,9 @@ class LatencyStats:
     """Per-event cold-start latency distribution of an event-granular run.
 
     Only present on results produced by the ``event`` engine
-    (:mod:`repro.simulation.events`); the minute-granular engines
-    (``reference``, ``vectorized``) count cold starts but cannot attribute
-    latency, so they leave :attr:`SimulationResult.latency` as ``None``.
+    (:mod:`repro.simulation.events`); the minute-granular ``vectorized``
+    engine counts cold starts but cannot attribute latency, so it leaves
+    :attr:`SimulationResult.latency` as ``None``.
 
     Latency is attributed to two kinds of events:
 

@@ -94,7 +94,6 @@ def shard_assignment(
 
 def shard_fallback_reason(
     policy: "ProvisioningPolicy",
-    engine: str,
     cluster: ClusterModel | None,
     shards: int,
     shard_placement: str,
@@ -110,8 +109,6 @@ def shard_fallback_reason(
     diverge from the unsharded one:
 
     * the policy itself must be ``shard_safe`` (function-local decisions);
-    * the reference engine is the executable specification of the single
-      process loop and is never sharded;
     * each shard re-runs the offline phase on its own partition, so a
       caller-prepared policy (``prepare=False``) cannot be split;
     * with a cluster model, shards must coincide with nodes: migration and
@@ -130,8 +127,6 @@ def shard_fallback_reason(
             f"policy {policy.name!r} is not shard_safe (its decisions couple "
             "functions across partitions)"
         )
-    if engine == "reference":
-        return "the reference engine is the unsharded executable specification"
     if not prepare:
         return (
             "prepare=False: a policy prepared against the full population "

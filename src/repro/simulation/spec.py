@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 #: Names of the available engine implementations.
-ENGINE_IMPLEMENTATIONS = ("vectorized", "reference", "event")
+ENGINE_IMPLEMENTATIONS = ("vectorized", "event")
 
 #: Memory accounting modes: the paper's abstract instance units (default)
 #: or measured megabyte footprints joined from the Azure dataset.
@@ -168,25 +168,6 @@ class RunSpec:
         """
         return cls(**{name: value for name, value in overrides.items() if value is not None})
 
-    @classmethod
-    def from_cli_args(cls, args: Any) -> "RunSpec":
-        """Build the base spec from a ``sweep``-style argparse namespace.
-
-        Reads the run-shape flags (``--engine``, ``--streaming``,
-        ``--shards``, ``--shard-placement``, ``--memory-mode`` and an
-        optional ``--warmup-minutes``); absent attributes fall back to the
-        field defaults.  Workload flags (functions, seeds, scenario, …) are
-        not the spec's concern.
-        """
-        return cls.build(
-            engine=getattr(args, "engine", None),
-            streaming=getattr(args, "streaming", None),
-            warmup_minutes=getattr(args, "warmup_minutes", None),
-            shards=getattr(args, "shards", None),
-            shard_placement=getattr(args, "shard_placement", None),
-            memory_mode=getattr(args, "memory_mode", None),
-        )
-
     def override(self, **changes: Any) -> "RunSpec":
         """A copy with ``changes`` applied (revalidated on construction)."""
         return replace(self, **changes)
@@ -215,17 +196,6 @@ class RunSpec:
             )
         # Fail fast on unknown partition strategies, before any run.
         get_placement(self.shard_placement)
-        if self.memory_mode != "unit" and self.engine == "reference":
-            raise ValueError(
-                "MB-mode accounting requires a mask-based engine; the "
-                "reference engine is the executable specification of the "
-                "paper's unit accounting"
-            )
-        if self.cluster is not None and self.engine == "reference":
-            raise ValueError(
-                "the capacity-constrained cluster mode requires a mask-based "
-                "engine (vectorized or event)"
-            )
         if (
             self.cluster is not None
             and self.cluster.capacity_unit == "mb"

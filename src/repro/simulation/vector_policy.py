@@ -15,8 +15,8 @@ Two classes define the boundary:
     minute — the warm-up replay included; the policy answers with a boolean
     residency mask over the whole function-index space.  A default
     :meth:`on_minute` bridge translates the dict API onto the indexed one, so
-    the same policy instance also runs under the ``reference`` engine —
-    which is exactly what the equivalence tests exploit.
+    the same policy instance also serves any caller that steps policies
+    with ``{function_id: count}`` mappings.
 
 :class:`DictPolicyAdapter`
     Wraps an unchanged dict-based :class:`ProvisioningPolicy` behind the
@@ -75,9 +75,8 @@ class VectorizedPolicy(ProvisioningPolicy):
 
     The inherited dict API keeps working: :meth:`on_minute` converts a
     ``{function_id: count}`` mapping into index arrays, delegates to
-    :meth:`on_minute_indexed` and converts the mask back into an id set.
-    That bridge is what the ``reference`` engine uses, so a single policy
-    instance behaves identically under every engine.
+    :meth:`on_minute_indexed` and converts the mask back into an id set,
+    so a dict-stepping caller sees exactly the residency the engine sees.
     """
 
     _index: InvocationIndex | None = None
@@ -152,7 +151,7 @@ class VectorizedPolicy(ProvisioningPolicy):
         """
 
     # ------------------------------------------------------------------ #
-    # Dict-API bridge (reference engine)
+    # Dict-API bridge
     # ------------------------------------------------------------------ #
     def on_minute(self, minute: int, invocations: Mapping[str, int]) -> Set[str]:
         """Adapt the dict API onto :meth:`on_minute_indexed`.
@@ -160,8 +159,8 @@ class VectorizedPolicy(ProvisioningPolicy):
         Ids unknown to the bound index are ignored (they cannot be expressed
         in the index space; driving a policy with a foreign trace is a caller
         error that the equivalence tests would surface immediately).  The
-        returned set is the mask's ids plus :attr:`extra_resident`, so the
-        ``reference`` engine charges exactly what the mask engines charge.
+        returned set is the mask's ids plus :attr:`extra_resident`, so a
+        dict-stepping caller charges exactly what the engine charges.
         """
         index_of = self.index.index_of
         positions = [index_of[f] for f in invocations if f in index_of]
@@ -188,7 +187,7 @@ class DictPolicyAdapter(VectorizedPolicy):
     mappings, diffs consecutive declarations to update a persistent boolean
     mask, and tracks ids that are unknown to the trace index (possible when a
     policy was prepared against different metadata) in :attr:`extra_resident`
-    so the engine can charge them exactly like the reference implementation.
+    so the engine can charge them like any other resident.
 
     The shipped policies are all index-native, so the adapter serves
     third-party dict policies only.

@@ -334,47 +334,6 @@ class Trace:
         return state
 
     # ------------------------------------------------------------------ #
-    # Per-minute access used by the simulator
-    # ------------------------------------------------------------------ #
-    def invocations_at(self, minute: int) -> Dict[str, int]:
-        """Return ``{function_id: count}`` for functions invoked at ``minute``.
-
-        Functions with zero invocations at that minute are omitted, matching
-        how the simulator and the provisioning policies consume the trace.
-        """
-        if not 0 <= minute < self._duration:
-            raise IndexError(f"minute {minute} outside trace of {self._duration} minutes")
-        result: Dict[str, int] = {}
-        for function_id, series in self._counts.items():
-            count = int(series[minute])
-            if count > 0:
-                result[function_id] = count
-        return result
-
-    def iter_minutes(
-        self, start: int = 0, stop: int | None = None
-    ) -> Iterator[tuple[int, Dict[str, int]]]:
-        """Yield ``(minute, invocations)`` pairs over ``[start, stop)``.
-
-        This pre-computes, per function, the minutes at which it is invoked,
-        so iterating a long, sparse trace does not repeatedly scan every
-        function's series.
-        """
-        stop = self._duration if stop is None else stop
-        if not 0 <= start <= stop <= self._duration:
-            raise IndexError("invalid minute range")
-
-        per_minute: Dict[int, Dict[str, int]] = {}
-        for function_id, series in self._counts.items():
-            window = series[start:stop]
-            for offset in np.nonzero(window)[0]:
-                minute = start + int(offset)
-                per_minute.setdefault(minute, {})[function_id] = int(window[offset])
-
-        for minute in range(start, stop):
-            yield minute, per_minute.get(minute, {})
-
-    # ------------------------------------------------------------------ #
     # Grouping helpers used by application-grained policies and COR mining
     # ------------------------------------------------------------------ #
     def functions_by_app(self) -> Dict[str, list[str]]:
@@ -734,35 +693,6 @@ class SparseTrace(Trace):
             function_ids, minutes[order], findex[order], counts[order],
             self._duration - start,
         )
-
-    def invocations_at(self, minute: int) -> Dict[str, int]:
-        if not 0 <= minute < self._duration:
-            raise IndexError(f"minute {minute} outside trace of {self._duration} minutes")
-        index = self.invocation_index()
-        start, stop = index.indptr[minute], index.indptr[minute + 1]
-        return {
-            index.function_ids[index.indices[position]]: int(index.counts[position])
-            for position in range(start, stop)
-        }
-
-    def iter_minutes(
-        self, start: int = 0, stop: int | None = None
-    ) -> Iterator[tuple[int, Dict[str, int]]]:
-        stop = self._duration if stop is None else stop
-        if not 0 <= start <= stop <= self._duration:
-            raise IndexError("invalid minute range")
-        index = self.invocation_index()
-        ids, indices, counts, indptr = (
-            index.function_ids,
-            index.indices,
-            index.counts,
-            index.indptr,
-        )
-        for minute in range(start, stop):
-            yield minute, {
-                ids[indices[position]]: int(counts[position])
-                for position in range(indptr[minute], indptr[minute + 1])
-            }
 
     def slice(self, start: int, stop: int, name: str | None = None) -> "SparseTrace":
         """Return the sparse sub-trace over minutes ``[start, stop)``."""

@@ -5,6 +5,7 @@ import zlib
 import numpy as np
 import pytest
 from dict_policies import DictFaasCachePolicy
+from reference_engine import simulate_reference
 
 from repro.baselines import FaasCachePolicy
 from repro.simulation import simulate_policy
@@ -151,14 +152,13 @@ class TestIndexedFaasCache:
         sizes = {fid: 2.0 for fid in function_ids[::3]}
         costs = {fid: 5.0 for fid in function_ids[::4]}
         results = [
-            simulate_policy(
+            simulate(
                 factory(capacity=20, sizes=sizes, costs=costs),
                 small_split.simulation,
                 small_split.training,
                 warmup_minutes=120,
-                engine=engine,
             ).deterministic_fingerprint()
             for factory in (DictFaasCachePolicy, FaasCachePolicy)
-            for engine in ("vectorized", "reference")
+            for simulate in (simulate_policy, simulate_reference)
         ]
         assert len(set(results)) == 1

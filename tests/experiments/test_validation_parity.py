@@ -14,11 +14,10 @@ import pytest
 
 from pin_workload import pin_split
 from repro.experiments import ExperimentConfig, ExperimentSuite, ParallelRunner
-from repro.simulation import RunSpec, Simulator
+from repro.simulation import ClusterModel, RunSpec, Simulator
 
 #: Invalid run-shape keyword sets every entry point accepts verbatim.
 BAD_CONFIGS = {
-    "mb-on-reference": dict(engine="reference", memory_mode="mb"),
     "unknown-engine": dict(engine="quantum"),
     "unknown-memory-mode": dict(memory_mode="gb"),
     "negative-shards": dict(shards=-1),
@@ -51,13 +50,24 @@ def test_all_layers_raise_the_identical_message(kwargs):
     assert suite_message == spec_message
 
 
-def test_mb_reference_message_keeps_the_historic_prefix():
-    # Pre-unification tests (and downstream scripts) matched the suite's old
-    # short message; the unified message must keep starting with it.
-    message = _raised_message(
-        lambda: RunSpec.build(engine="reference", memory_mode="mb")
+def test_mb_cluster_on_unit_accounting_raises_the_identical_message():
+    # A cross-field rule: the cluster reaches the simulator as a keyword and
+    # the runner as a per-trace model folded into each cell's spec.
+    split = pin_split()
+    cluster = ClusterModel(memory_capacity=4096, n_nodes=2, capacity_unit="mb")
+    spec_message = _raised_message(lambda: RunSpec.build(cluster=cluster))
+    simulator_message = _raised_message(
+        lambda: Simulator(
+            simulation_trace=split.simulation,
+            training_trace=split.training,
+            cluster=cluster,
+        )
     )
-    assert message.startswith("MB-mode accounting requires a mask-based engine")
+    runner = ParallelRunner({"t": split}, clusters={"t": cluster})
+    runner_message = _raised_message(lambda: runner.cell_run_spec("t"))
+    assert spec_message.startswith("an MB-denominated ClusterModel requires")
+    assert simulator_message == spec_message
+    assert runner_message == spec_message
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,9 @@
 """Property-based equivalence harness for the engine/policy matrix.
 
-The repository now carries three engines (``vectorized``, ``reference``,
-``event``) and a growing family of index-native policy ports that must be
-*decision-identical* to their dict-based twins.  Rather than each test file
+The repository carries two engines (``vectorized``, ``event``), the
+reference loop they replaced (``tests/reference_engine.py``, the
+:data:`ORACLE` column) and a family of index-native policy ports that must
+be *decision-identical* to their dict-based twins.  Rather than each test file
 hand-rolling its own workload and comparison loop, this module centralizes:
 
 * **randomized workload generation** — seeded, structurally diverse
@@ -31,6 +32,7 @@ from typing import Callable, Dict, Iterable
 import numpy as np
 import pytest
 
+from reference_engine import ORACLE, simulate_reference
 from dict_policies import (
     DictDefusePolicy,
     DictFaasCachePolicy,
@@ -58,12 +60,13 @@ from repro.traces import AzureTraceGenerator, GeneratorProfile, TraceSplit, spli
 #: touch minute-granular state.
 LISTENING = "event+listening"
 #: Engine columns that support the uncapped setting (all of them).
-ALL_ENGINES = ("vectorized", "reference", "event", LISTENING)
-#: Engine columns that support the capacity-constrained cluster mode.
+ALL_ENGINES = ("vectorized", ORACLE, "event", LISTENING)
+#: Engine columns that support the capacity-constrained cluster mode — the
+#: oracle specifies the uncapped loop only.
 MASK_ENGINES = ("vectorized", "event", LISTENING)
-#: Engines that support sharded execution — the reference engine is the
-#: executable specification of the *unsharded* loop and always falls back.
-SHARD_ENGINES = MASK_ENGINES
+#: Engine columns that support sharded execution: the oracle shards through
+#: the simulator's own decomposition, each shard on the reference loop.
+SHARD_ENGINES = ALL_ENGINES
 #: Every registered placement strategy, for the placement × pairs matrix —
 #: derived from the registry so a newly registered strategy joins the
 #: equivalence matrix automatically.
@@ -87,7 +90,9 @@ def listening(policy):
 
 
 def simulate_column(policy, simulation, training=None, engine="vectorized", **options):
-    """:func:`simulate_policy` for one engine column (see :data:`LISTENING`)."""
+    """:func:`simulate_policy` for one engine column (:data:`ORACLE`, :data:`LISTENING`)."""
+    if engine == ORACLE:
+        return simulate_reference(policy, simulation, training, **options)
     if engine == LISTENING:
         policy, engine = listening(policy), "event"
     return simulate_policy(policy, simulation, training, engine=engine, **options)
@@ -256,9 +261,9 @@ def assert_cross_engine_equivalence(
 ) -> str:
     """Assert one fingerprint across twins × engines; return it.
 
-    The reference engine is exercised only in the uncapped setting (it is
-    the executable specification of exactly that), so capped comparisons run
-    over the mask-based engines.
+    The oracle column runs only in the uncapped setting (it is the
+    executable specification of exactly that), so capped comparisons run
+    over the engines alone.
     """
     engines = ALL_ENGINES if cluster is None else MASK_ENGINES
     fingerprints = collect_fingerprints(

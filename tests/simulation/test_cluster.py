@@ -6,6 +6,7 @@ import pytest
 from dict_policies import DictFixedKeepAlivePolicy
 from repro.baselines import FixedKeepAlivePolicy
 from repro.simulation import (
+    ENGINE_IMPLEMENTATIONS,
     AlwaysWarmPolicy,
     ClusterModel,
     Simulator,
@@ -46,14 +47,9 @@ class TestClusterModel:
         assert all(0 <= node < 4 for node in nodes)
         assert len(set(nodes)) > 1  # the hash actually spreads functions
 
-    def test_reference_engine_rejects_cluster_mode(self):
+    def test_every_engine_accepts_cluster_mode(self):
         trace = small_trace({"f": [1, 0, 1]})
-        with pytest.raises(ValueError, match="mask-based"):
-            Simulator(trace, engine="reference", cluster=ClusterModel(memory_capacity=4))
-
-    def test_mask_based_engines_accept_cluster_mode(self):
-        trace = small_trace({"f": [1, 0, 1]})
-        for engine in ("vectorized", "event"):
+        for engine in ENGINE_IMPLEMENTATIONS:
             Simulator(trace, engine=engine, cluster=ClusterModel(memory_capacity=4))
 
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from reference_engine import ReferenceSimulator
+
 from repro.simulation import (
     AlwaysWarmPolicy,
     NoKeepAlivePolicy,
@@ -142,18 +144,20 @@ class TestWarmup:
 
 
 class TestEngineEquivalence:
-    """The vectorized engine must reproduce the reference engine exactly."""
+    """The vectorized engine must reproduce the reference loop exactly."""
 
     @staticmethod
     def assert_identical(policy_factory, simulation, training=None, warmup=0, resident=None):
         results = {}
-        for engine in ("reference", "vectorized"):
-            simulator = Simulator(
+        for engine, simulator_type in (
+            ("reference", ReferenceSimulator),
+            ("vectorized", Simulator),
+        ):
+            simulator = simulator_type(
                 simulation,
                 training,
                 initially_resident=resident,
                 warmup_minutes=warmup,
-                engine=engine,
             )
             results[engine] = simulator.run(policy_factory())
         reference, vectorized = results["reference"], results["vectorized"]

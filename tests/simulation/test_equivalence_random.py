@@ -3,8 +3,9 @@
 Seeded randomized workloads (see :mod:`harness`) are driven through every
 combination of
 
-* engine:   ``vectorized`` vs ``reference`` (the executable specification)
-  vs ``event`` (sub-minute expansion layered on the vectorized loop);
+* engine:   ``vectorized`` vs the ``reference`` oracle (the executable
+  specification, ``tests/reference_engine.py``) vs ``event`` (sub-minute
+  expansion layered on the vectorized loop);
 * policy:   the shipped index-native :class:`VectorizedPolicy` classes vs
   their dict-stepping oracles from ``dict_policies`` (adapted transparently
   by the engine).

@@ -27,6 +27,7 @@ from repro.traces import (
     duration_profile_for,
 )
 from repro.traces.schema import TraceMetadata
+from reference_engine import invocations_at
 from scheduling_reference import reference_schedule
 
 
@@ -110,14 +111,6 @@ class TestEventEngine:
     def test_event_config_requires_event_engine(self, small_split):
         with pytest.raises(ValueError, match="requires an event engine"):
             Simulator(small_split.simulation, events=EventConfig())
-
-    def test_reference_engine_rejects_cluster(self, small_split):
-        with pytest.raises(ValueError, match="mask-based"):
-            Simulator(
-                small_split.simulation,
-                engine="reference",
-                cluster=ClusterModel(memory_capacity=10),
-            )
 
     def test_minute_engines_carry_no_latency_block(self, small_split):
         result = simulate_policy(
@@ -212,7 +205,7 @@ class TestEventEngine:
             engine="event",
         )
         latency = result.latency
-        minute_zero = set(small_split.simulation.invocations_at(0))
+        minute_zero = set(invocations_at(small_split.simulation, 0))
         assert latency.cold_start_events == len(minute_zero)
         assert set(latency.per_function_wait_ms) == minute_zero
 

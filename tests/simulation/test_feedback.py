@@ -18,7 +18,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from harness import POLICY_PAIRS, listening, random_cluster
+from harness import POLICY_PAIRS, listening, random_cluster, simulate_column
+from reference_engine import ORACLE
 from repro.baselines import FixedKeepAlivePolicy, LatencyAwareKeepAlivePolicy
 from repro.scenarios import build_scenario
 from repro.simulation import (
@@ -31,8 +32,8 @@ from repro.simulation import (
     Simulator,
     simulate_policy,
 )
-from repro.simulation.engine import ENGINE_IMPLEMENTATIONS
 from repro.simulation.policy_base import listens_to_feedback
+from repro.simulation.spec import ENGINE_IMPLEMENTATIONS
 from repro.traces import AzureTraceGenerator, GeneratorProfile, split_trace
 
 
@@ -123,7 +124,7 @@ class TestLatencyWindow:
 
 class TestFeedbackEngineWiring:
     def test_event_feedback_is_not_an_engine(self):
-        assert ENGINE_IMPLEMENTATIONS == ("vectorized", "reference", "event")
+        assert ENGINE_IMPLEMENTATIONS == ("vectorized", "event")
         with pytest.raises(ValueError, match="unknown engine 'event-feedback'"):
             RunSpec(engine="event-feedback")
 
@@ -171,14 +172,14 @@ class TestFeedbackEngineWiring:
             def on_feedback(self, minute, latency_window):
                 fired.append(minute)
 
-        for engine in ("vectorized", "reference"):
-            simulate_policy(
+        for engine in ("vectorized", ORACLE):
+            simulate_column(
                 Probe(10), split.simulation, warmup_minutes=0, engine=engine
             )
         assert fired == []
 
     @pytest.mark.parametrize(
-        "engine, expected_windows", [("event", 1), ("vectorized", 0), ("reference", 0)]
+        "engine, expected_windows", [("event", 1), ("vectorized", 0), (ORACLE, 0)]
     )
     def test_dict_policy_override_gets_one_window_per_minute(
         self, split, engine, expected_windows
@@ -196,7 +197,7 @@ class TestFeedbackEngineWiring:
                 assert isinstance(latency_window, LatencyWindow)
                 minutes.append(minute)
 
-        simulate_policy(
+        simulate_column(
             ThirdParty(), split.simulation, warmup_minutes=0, engine=engine
         )
         duration = split.simulation.duration_minutes

@@ -1,8 +1,14 @@
-"""Tests for the memory accountant."""
+"""Tests for the memory accountant, charged minute by minute.
+
+``MinuteAccountant`` is the reference loop's accountant: the shipped
+:class:`~repro.simulation.MemoryAccountant` plus its per-minute
+``observe_minute``.
+"""
 
 import numpy as np
 import pytest
 
+from reference_engine import MinuteAccountant
 from repro.simulation import MemoryAccountant
 
 
@@ -12,7 +18,7 @@ class TestMemoryAccountant:
             MemoryAccountant(0)
 
     def test_usage_and_idle_series(self):
-        accountant = MemoryAccountant(3)
+        accountant = MinuteAccountant(3)
         accountant.observe_minute(0, {"a", "b"}, {"a": 1})
         accountant.observe_minute(1, {"a"}, {})
         accountant.observe_minute(2, set(), {})
@@ -20,7 +26,7 @@ class TestMemoryAccountant:
         np.testing.assert_array_equal(accountant.idle_series, [1, 1, 0])
 
     def test_wasted_memory_time_total_and_per_function(self):
-        accountant = MemoryAccountant(3)
+        accountant = MinuteAccountant(3)
         accountant.observe_minute(0, {"a", "b"}, {"a": 1})
         accountant.observe_minute(1, {"a", "b"}, {"b": 2})
         accountant.observe_minute(2, {"b"}, {})
@@ -28,31 +34,31 @@ class TestMemoryAccountant:
         assert accountant.wmt_per_function == {"a": 1, "b": 2}
 
     def test_emcr(self):
-        accountant = MemoryAccountant(2)
+        accountant = MinuteAccountant(2)
         accountant.observe_minute(0, {"a", "b"}, {"a": 1})
         accountant.observe_minute(1, {"a", "b"}, {"a": 1, "b": 1})
         # 3 active instance-minutes out of 4 loaded instance-minutes.
         assert accountant.effective_memory_consumption_ratio == pytest.approx(0.75)
 
     def test_emcr_zero_when_nothing_loaded(self):
-        accountant = MemoryAccountant(2)
+        accountant = MinuteAccountant(2)
         accountant.observe_minute(0, set(), {})
         assert accountant.effective_memory_consumption_ratio == 0.0
 
     def test_average_and_peak_memory(self):
-        accountant = MemoryAccountant(2)
+        accountant = MinuteAccountant(2)
         accountant.observe_minute(0, {"a"}, {"a": 1})
         accountant.observe_minute(1, {"a", "b", "c"}, {})
         assert accountant.average_memory_usage == pytest.approx(2.0)
         assert accountant.peak_memory_usage == 3
 
     def test_out_of_range_minute_rejected(self):
-        accountant = MemoryAccountant(1)
+        accountant = MinuteAccountant(1)
         with pytest.raises(IndexError):
             accountant.observe_minute(5, set(), {})
 
     def test_invoked_but_unlisted_function_not_charged(self):
-        accountant = MemoryAccountant(1)
+        accountant = MinuteAccountant(1)
         # A function invoked but not in the loaded set contributes nothing.
         accountant.observe_minute(0, {"a"}, {"a": 1, "ghost": 1})
         assert accountant.wasted_memory_time == 0

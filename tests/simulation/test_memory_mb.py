@@ -6,13 +6,13 @@ Three contracts guard the measured-memory mode:
   single bit of a unit-mode run, on any engine: the default accounting never
   reads ``FunctionRecord.memory_mb``.
 * **MB-mode exactness** — MB mode adds KB-denominated series/aggregates on
-  top of the count-based numbers without changing them; all mask-based
-  engines agree on one fingerprint; sharded runs merge to the unsharded
+  top of the count-based numbers without changing them; both engines
+  agree on one fingerprint; sharded runs merge to the unsharded
   fingerprint bit for bit (integer-KB sums decompose exactly).
 * **Graceful degradation** — an empty join (no footprints anywhere) falls
   back to :data:`DEFAULT_MEMORY_MB` with finite, NaN-free MB statistics;
-  the reference engine and MB-denominated clusters reject unsupported
-  combinations loudly instead of silently mis-accounting.
+  an MB-denominated cluster without MB accounting is rejected loudly
+  instead of silently mis-accounting.
 """
 
 from dataclasses import replace
@@ -190,10 +190,6 @@ class TestFallbacks:
         assert np.isfinite(result.emcr_mb)
         assert np.isfinite(result.average_memory_usage_mb)
         assert np.isfinite(result.wasted_memory_mb_minutes)
-
-    def test_reference_engine_rejects_mb_mode(self, measured_split):
-        with pytest.raises(ValueError, match="mask-based"):
-            run(measured_split, engine="reference", memory_mode="mb")
 
     def test_mb_cluster_requires_mb_mode(self, measured_split):
         cluster = ClusterModel(memory_capacity=512, n_nodes=2, capacity_unit="mb")

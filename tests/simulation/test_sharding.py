@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from harness import (
+    MASK_ENGINES,
     PLACEMENTS,
-    SHARD_ENGINES,
     SHARD_SAFE_POLICY_PAIRS,
     assert_shard_equivalence,
     random_split,
@@ -189,7 +189,7 @@ class TestShardedEquivalence:
             workload,
             shards=4,
             cluster=cluster,
-            engines=SHARD_ENGINES,
+            engines=MASK_ENGINES,
         )
 
     def test_cpu_counts_survive_sharding(self, workload):
@@ -259,10 +259,6 @@ class TestShardFallback:
         assert (
             sharded.deterministic_fingerprint() == whole.deterministic_fingerprint()
         )
-
-    def test_reference_engine_falls_back(self, workload):
-        with pytest.warns(ShardFallbackWarning, match="reference"):
-            self._run(workload, DictFixedKeepAlivePolicy(5), shards=2, engine="reference")
 
     def test_migration_cluster_falls_back(self, workload):
         cluster = ClusterModel(

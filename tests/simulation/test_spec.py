@@ -9,7 +9,6 @@ pins).
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 
 import pytest
@@ -52,23 +51,6 @@ class TestConstruction:
         assert RunSpec.build(warmup_minutes=0).warmup_minutes == 0
         assert RunSpec.build(streaming=False).streaming is False
 
-    def test_from_cli_args(self):
-        args = argparse.Namespace(
-            engine="event",
-            streaming=True,
-            shards=4,
-            shard_placement="least-loaded",
-            memory_mode="mb",
-        )
-        spec = RunSpec.from_cli_args(args)
-        assert spec.engine == "event"
-        assert spec.streaming is True
-        assert spec.shards == 4
-        assert spec.shard_placement == "least-loaded"
-        assert spec.memory_mode == "mb"
-        # Absent flags (e.g. a namespace without warmup) fall back to defaults.
-        assert spec.warmup_minutes == DEFAULT_WARMUP_MINUTES
-
     def test_override_returns_new_validated_spec(self):
         base = RunSpec()
         changed = base.override(engine="event")
@@ -76,9 +58,9 @@ class TestConstruction:
         assert base.engine == "vectorized"
 
     def test_override_revalidates(self):
-        spec = RunSpec(memory_mode="mb")
-        with pytest.raises(ValueError, match="mask-based"):
-            spec.override(engine="reference")
+        spec = RunSpec(engine="event", events=EventConfig())
+        with pytest.raises(ValueError, match="requires an event engine"):
+            spec.override(engine="vectorized")
 
 
 class TestValidation:
@@ -102,17 +84,11 @@ class TestValidation:
         with pytest.raises(KeyError):
             RunSpec(shard_placement="no-such-strategy")
 
-    def test_mb_requires_mask_engine(self):
-        with pytest.raises(ValueError, match="mask-based"):
-            RunSpec(engine="reference", memory_mode="mb")
-        for engine in ENGINE_IMPLEMENTATIONS:
-            if engine != "reference":
-                RunSpec(engine=engine, memory_mode="mb")
-
-    def test_cluster_requires_mask_engine(self):
+    def test_every_engine_accepts_mb_mode_and_clusters(self):
         cluster = ClusterModel(memory_capacity=8, n_nodes=2)
-        with pytest.raises(ValueError, match="cluster mode requires a mask-based"):
-            RunSpec(engine="reference", cluster=cluster)
+        for engine in ENGINE_IMPLEMENTATIONS:
+            RunSpec(engine=engine, memory_mode="mb")
+            RunSpec(engine=engine, cluster=cluster)
 
     def test_mb_cluster_requires_mb_mode(self):
         cluster = ClusterModel(memory_capacity=4096, n_nodes=2, capacity_unit="mb")
@@ -195,18 +171,13 @@ class TestCacheKeyParts:
         )
 
 
-def test_constants_reexported_from_engine_module():
-    # Back-compat: the catalog constants moved to spec.py but their historic
-    # import sites must keep working.
-    from repro.simulation import engine as engine_module
-
-    assert engine_module.ENGINE_IMPLEMENTATIONS == ENGINE_IMPLEMENTATIONS
-    assert engine_module.MEMORY_MODES == MEMORY_MODES
-    assert engine_module.ENGINE_VERSION == ENGINE_VERSION
-    assert engine_module.DEFAULT_WARMUP_MINUTES == DEFAULT_WARMUP_MINUTES
-
+def test_spec_names_reexported_from_the_package():
     import repro.simulation as simulation
 
+    assert simulation.ENGINE_IMPLEMENTATIONS == ENGINE_IMPLEMENTATIONS
+    assert simulation.MEMORY_MODES == MEMORY_MODES
+    assert simulation.ENGINE_VERSION == ENGINE_VERSION
+    assert simulation.Simulator.DEFAULT_WARMUP_MINUTES == DEFAULT_WARMUP_MINUTES
     assert simulation.RunSpec is RunSpec
     assert simulation.canonical_value is canonical_value
     assert simulation.content_digest is content_digest

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dict_policies import DictFixedKeepAlivePolicy
+from reference_engine import simulate_reference
 from repro.simulation import (
     DictPolicyAdapter,
     Simulator,
@@ -59,9 +60,7 @@ class TestVectorizedPolicy:
     def test_dict_bridge_matches_indexed_run(self):
         trace = small_trace({"a": [1, 0, 1, 0, 1], "b": [0, 1, 0, 1, 0]})
         vectorized = simulate_policy(CountdownPolicy(2), trace, warmup_minutes=0)
-        reference = simulate_policy(
-            CountdownPolicy(2), trace, warmup_minutes=0, engine="reference"
-        )
+        reference = simulate_reference(CountdownPolicy(2), trace, warmup_minutes=0)
         assert (
             vectorized.deterministic_fingerprint()
             == reference.deterministic_fingerprint()
@@ -104,9 +103,7 @@ class TestDictPolicyAdapter:
 
         trace = small_trace({"f": [1, 0, 1, 0]})
         vectorized = simulate_policy(ForeignPolicy(10), trace, warmup_minutes=0)
-        reference = simulate_policy(
-            ForeignPolicy(10), trace, warmup_minutes=0, engine="reference"
-        )
+        reference = simulate_reference(ForeignPolicy(10), trace, warmup_minutes=0)
         assert (
             vectorized.deterministic_fingerprint()
             == reference.deterministic_fingerprint()

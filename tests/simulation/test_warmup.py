@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 
 from degenerate_reference import DictAlwaysWarmPolicy, DictNoKeepAlivePolicy
+from harness import simulate_column
+from reference_engine import ORACLE
 from warmup_reference import reference_warm_up, reference_warm_up_installed
 
 from repro.experiments.parallel import POLICY_REGISTRY
@@ -37,6 +39,7 @@ from repro.traces import (
     split_trace,
 )
 from repro.traces.schema import TraceMetadata
+from repro.traces.trace import InvocationIndex
 
 pytestmark = pytest.mark.filterwarnings(
     f"ignore::{ShardFallbackWarning.__module__}.{ShardFallbackWarning.__name__}"
@@ -124,7 +127,7 @@ def _entering(split: TraceSplit, factory, warmup: int, warm_up) -> Set[str]:
 
 
 def _fingerprint(split: TraceSplit, factory, **knobs) -> str:
-    result = simulate_policy(factory(), split.simulation, split.training, **knobs)
+    result = simulate_column(factory(), split.simulation, split.training, **knobs)
     return result.deterministic_fingerprint()
 
 
@@ -139,7 +142,7 @@ def test_warm_up_matches_dict_replay(split, name, warmup):
         assert fingerprint == _fingerprint(split, factory, warmup_minutes=warmup)
 
 
-@pytest.mark.parametrize("engine", ["reference", "event"])
+@pytest.mark.parametrize("engine", [ORACLE, "event"])
 @pytest.mark.parametrize("name", sorted(POLICIES))
 def test_warm_up_matches_dict_replay_per_engine(dense_split, name, engine):
     factory = POLICIES[name]
@@ -192,14 +195,29 @@ class TestTailIndex:
             training.invocation_index(-1)
 
     def test_warm_up_never_builds_per_minute_dicts(self, dense_split, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("warm-up must not iterate per-minute dicts")
+        # Per-minute dicts come only from InvocationIndex.minute_invocations.
+        # Index-native policies must never cause one; a dict policy may
+        # expand only the replayed tail and the simulation window.
+        expanded = []
+        original = InvocationIndex.minute_invocations
 
-        sparse = _sparse(dense_split)
-        for trace_type in (Trace, SparseTrace):
-            monkeypatch.setattr(trace_type, "iter_minutes", forbidden)
-        for factory in (POLICIES["fixed-10min"], NoKeepAlivePolicy, RecentDictPolicy):
-            simulate_policy(factory(), sparse.simulation, sparse.training)
+        def recording(index):
+            expanded.append(index)
+            return original(index)
+
+        monkeypatch.setattr(InvocationIndex, "minute_invocations", recording)
+        for split in (dense_split, _sparse(dense_split)):
+            training, simulation = split.training, split.simulation
+            start = training.duration_minutes - Simulator.DEFAULT_WARMUP_MINUTES
+            for factory in (POLICIES["fixed-10min"], NoKeepAlivePolicy):
+                simulate_policy(factory(), simulation, training)
+                assert expanded == []
+            simulate_policy(RecentDictPolicy(), simulation, training)
+            assert [id(index) for index in expanded] == [
+                id(training.invocation_index(start)),
+                id(simulation.invocation_index()),
+            ]
+            expanded.clear()
 
 
 #: ``(index-native, dict oracle)`` factories of the degenerate bounds; the
@@ -215,7 +233,7 @@ TRIVIAL_PAIRS = {
 
 
 @pytest.mark.parametrize("shards", [0, 2])
-@pytest.mark.parametrize("engine", ["vectorized", "event", "reference"])
+@pytest.mark.parametrize("engine", ["vectorized", "event", ORACLE])
 @pytest.mark.parametrize("pair", sorted(TRIVIAL_PAIRS))
 def test_degenerate_policies_match_dict_oracle(dense_split, pair, engine, shards):
     indexed, oracle = TRIVIAL_PAIRS[pair]
@@ -229,15 +247,15 @@ def test_degenerate_policies_match_dict_oracle(dense_split, pair, engine, shards
 
 
 def test_bridge_charges_extra_residents_like_the_mask_engines(dense_split):
-    # The reference engine reaches an index-native policy through its
+    # The reference loop reaches an index-native policy through its
     # on_minute bridge; ids outside the index must come back from it.
     def factory():
         return AlwaysWarmPolicy(function_ids={"func-00000", "func-00003", "ghost"})
 
     fingerprints = {
         engine: _fingerprint(dense_split, factory, warmup_minutes=60, engine=engine)
-        for engine in ("reference", "vectorized")
+        for engine in (ORACLE, "vectorized")
     }
-    assert fingerprints["reference"] == fingerprints["vectorized"]
+    assert fingerprints[ORACLE] == fingerprints["vectorized"]
     result = simulate_policy(factory(), dense_split.simulation, dense_split.training)
     assert result.per_function["ghost"].wasted_memory_time == result.duration_minutes

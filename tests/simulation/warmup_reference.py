@@ -1,4 +1,4 @@
-"""Reference warm-up replay: the dict loop over ``Trace.iter_minutes``.
+"""Reference warm-up replay: the dict loop over the trace's per-minute dicts.
 
 ``Simulator._warm_up`` replays the training tail from the trace's cached
 tail index, steps index-native policies on remapped index arrays and turns
@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 from typing import Iterator, Set
 
+from reference_engine import iter_minutes
 from repro.simulation import Simulator
 from repro.simulation.policy_base import ProvisioningPolicy
 
@@ -25,7 +26,7 @@ def reference_warm_up(self: Simulator, policy: ProvisioningPolicy) -> Set[str]:
     start = max(0, training.duration_minutes - self.warmup_minutes)
     offset = training.duration_minutes
     resident: Set[str] = set()
-    for minute, invocations in training.iter_minutes(start=start):
+    for minute, invocations in iter_minutes(training, start=start):
         resident = set(policy.on_minute(minute - offset, invocations))
     return resident
 

@@ -36,6 +36,14 @@ class TestParser:
         assert args.seed == 9
         assert callable(args.handler)
 
+    @pytest.mark.parametrize("command", ["latency-rq", "slowdown-rq"])
+    def test_rq5_rq6_are_results_sections_not_commands(self, command, capsys):
+        # `results` renders both reports; `sweep --engine event` runs a cell.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command])
+        assert exit_info.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
+
 
 class TestSweepParser:
     def test_sweep_defaults(self):
@@ -270,26 +278,6 @@ class TestStreamingAndFeedbackCommands:
         assert "latency-keepalive" in captured.out
         assert "engine event, streaming" in captured.out
 
-    def test_latency_rq_runs_on_a_tiny_shape(self, capsys):
-        exit_code = main([
-            "latency-rq", "--functions", "25", "--days", "2",
-            "--training-days", "1.5", "--seeds", "5",
-            "--scenarios", "seasonal-mix",
-        ])
-        captured = capsys.readouterr()
-        assert exit_code == 0
-        assert "RQ5" in captured.out
-        assert "seasonal-mix" in captured.out
-        assert "p99_ms" in captured.out
-
-    def test_latency_rq_rejects_unknown_scenario(self, capsys):
-        exit_code = main([
-            "latency-rq", "--functions", "25", "--days", "2",
-            "--training-days", "1.5", "--scenarios", "warp",
-        ])
-        assert exit_code == 2
-        assert "unknown scenario" in capsys.readouterr().err
-
     def test_sweep_with_cores_reports_slowdown_columns(self, capsys):
         arguments = self.TINY_SWEEP + [
             "--policies", "fixed-10min",
@@ -309,27 +297,6 @@ class TestStreamingAndFeedbackCommands:
         assert exit_code == 2
         assert "event" in capsys.readouterr().err
 
-    def test_slowdown_rq_runs_on_a_tiny_shape(self, capsys):
-        exit_code = main([
-            "slowdown-rq", "--functions", "25", "--days", "2",
-            "--training-days", "1.5", "--seeds", "5",
-            "--scenarios", "cpu-starved",
-            "--schedulers", "fifo", "--cores", "2",
-        ])
-        captured = capsys.readouterr()
-        assert exit_code == 0
-        assert "RQ6" in captured.out
-        assert "cpu-starved" in captured.out
-        assert "slowdown_p99" in captured.out
-        assert "slo_viol_pct" in captured.out
-
-    def test_slowdown_rq_rejects_unknown_scenario(self, capsys):
-        exit_code = main([
-            "slowdown-rq", "--functions", "25", "--days", "2",
-            "--training-days", "1.5", "--scenarios", "warp",
-        ])
-        assert exit_code == 2
-        assert "unknown scenario" in capsys.readouterr().err
 
 
 class TestCacheCommand:
@@ -395,18 +362,25 @@ class TestConfigCommand:
         import json
 
         exit_code = main(
-            ["config", "--streaming", "--memory-mode", "mb", "--seeds", "1", "2"]
+            [
+                "config", "--streaming", "--memory-mode", "mb",
+                "--shard-placement", "least-loaded", "--seeds", "1", "2",
+            ]
         )
         assert exit_code == 0
         document = json.loads(capsys.readouterr().out)
         assert document["spec"]["streaming"] is True
         assert document["spec"]["memory_mode"] == "mb"
+        assert document["spec"]["shard_placement"] == "least-loaded"
         assert document["seeds"] == [1, 2]
 
     def test_config_rejects_invalid_combination_like_sweep(self, capsys):
-        exit_code = main(["config", "--engine", "reference", "--memory-mode", "mb"])
+        exit_code = main(["config", "--cores", "2"])
         assert exit_code == 2
-        assert "mask-based" in capsys.readouterr().err
+        config_error = capsys.readouterr().err
+        assert "require the event engine" in config_error
+        assert main(["sweep", "--cores", "2"]) == 2
+        assert capsys.readouterr().err == config_error
 
     def test_config_cache_keys_lists_static_cells(self, capsys):
         import json
@@ -509,6 +483,3 @@ class TestChoicesFollowTheRegistries:
 
     def test_results_memory_modes(self):
         assert choices_of("results", "--memory-mode") == MEMORY_MODES
-
-    def test_slowdown_rq_schedulers(self):
-        assert choices_of("slowdown-rq", "--schedulers") == scheduler_names()

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_engine import invocations_at, iter_minutes
 from repro.traces import (
     Azure2019Config,
     Azure2019Dataset,
@@ -820,8 +821,8 @@ class TestSparseTrace:
         assert sparse.total_invocations() == dense.total_invocations()
         assert sparse.total_invocations("f1") == 6
         assert sparse.invoked_function_ids() == dense.invoked_function_ids()
-        assert sparse.invocations_at(4) == dense.invocations_at(4)
-        assert list(sparse.iter_minutes()) == list(dense.iter_minutes())
+        assert invocations_at(sparse, 4) == invocations_at(dense, 4)
+        assert list(iter_minutes(sparse)) == list(iter_minutes(dense))
 
     def test_invocation_index_is_identical_to_dense(self):
         dense = self._dense()

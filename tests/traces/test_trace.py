@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference_engine import invocations_at, iter_minutes
 from repro.traces import FunctionRecord, Trace, TriggerType, split_trace
 from repro.traces.schema import MINUTES_PER_DAY, TraceMetadata
 
@@ -67,22 +68,40 @@ class TestTraceAccess:
         assert tiny_trace.total_invocations() == 4 + 4 + 1
 
     def test_invocations_at(self, tiny_trace):
-        assert tiny_trace.invocations_at(0) == {"periodic": 1}
-        assert tiny_trace.invocations_at(2) == {"chained": 1}
-        assert tiny_trace.invocations_at(1) == {}
+        assert invocations_at(tiny_trace, 0) == {"periodic": 1}
+        assert invocations_at(tiny_trace, 2) == {"chained": 1}
+        assert invocations_at(tiny_trace, 1) == {}
 
     def test_invocations_at_out_of_range(self, tiny_trace):
         with pytest.raises(IndexError):
-            tiny_trace.invocations_at(20)
+            invocations_at(tiny_trace, 20)
 
     def test_iter_minutes_covers_all_invocations(self, tiny_trace):
         total = sum(
-            sum(invocations.values()) for _, invocations in tiny_trace.iter_minutes()
+            sum(invocations.values()) for _, invocations in iter_minutes(tiny_trace)
         )
         assert total == tiny_trace.total_invocations()
 
+    @pytest.mark.parametrize("layout", ["records", "reversed", "rotated", "partial"])
+    def test_series_minutes_match_the_invocation_index(self, layout):
+        # The reference loop builds dense minutes from the series, not the
+        # index; both must give every minute's functions in one order.
+        series = {"f0": [1, 0, 2, 1], "f1": [0, 3, 1, 0], "f2": [4, 0, 1, 1]}
+        records = [FunctionRecord(fid, "a", "o") for fid in series]
+        if layout == "reversed":
+            series = dict(reversed(list(series.items())))
+        elif layout == "rotated":
+            series = {fid: series[fid] for fid in ("f2", "f0", "f1")}
+        elif layout == "partial":
+            del series["f1"]
+        trace = make_trace(series, records=records)
+        index = trace.invocation_index().minute_invocations()
+        assert [list(invocations.items()) for _, invocations in iter_minutes(trace)] == [
+            list(mapping.items()) for mapping in index
+        ]
+
     def test_iter_minutes_range(self, tiny_trace):
-        minutes = [minute for minute, _ in tiny_trace.iter_minutes(start=5, stop=10)]
+        minutes = [minute for minute, _ in iter_minutes(tiny_trace, start=5, stop=10)]
         assert minutes == [5, 6, 7, 8, 9]
 
     def test_invoked_function_ids(self, tiny_trace):
