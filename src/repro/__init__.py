@@ -25,7 +25,6 @@ from repro.traces import (
     GeneratorProfile,
     Trace,
     TriggerType,
-    load_azure_invocation_csv,
     split_trace,
 )
 from repro.experiments import ExperimentConfig, ExperimentSuite
@@ -44,7 +43,6 @@ __all__ = [
     "FunctionRecord",
     "AzureTraceGenerator",
     "GeneratorProfile",
-    "load_azure_invocation_csv",
     "split_trace",
     "ExperimentConfig",
     "ExperimentSuite",

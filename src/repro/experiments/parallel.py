@@ -64,12 +64,7 @@ from repro.simulation.engine import ShardFallbackWarning
 from repro.simulation.policy_base import listens_to_feedback
 from repro.simulation.vector_policy import AlwaysWarmPolicy, NoKeepAlivePolicy
 from repro.simulation.sharding import shard_assignment, shard_fallback_reason
-from repro.simulation.spec import (
-    ENGINE_VERSION,
-    RunSpec,
-    canonical_value as _canonical,
-    content_digest as _digest,
-)
+from repro.simulation.spec import RunSpec, content_digest
 from repro.traces import TraceSplit
 
 __all__ = [
@@ -115,11 +110,6 @@ def register_policy(name: str, factory: Callable[..., ProvisioningPolicy]) -> No
     if name in POLICY_REGISTRY:
         raise ValueError(f"policy {name!r} is already registered")
     POLICY_REGISTRY[name] = factory
-
-
-# _canonical/_digest (the canonical-value and content-digest helpers) now
-# live in repro.simulation.spec as canonical_value/content_digest; they are
-# imported above under their historical private names for compatibility.
 
 
 @dataclass(frozen=True)
@@ -188,7 +178,7 @@ def derive_cell_seed(base_seed: int, spec: PolicySpec) -> int:
     shares one seed and therefore one on-disk cache entry.  Bounded to 32
     bits so it can feed numpy's legacy RNG seeding directly.
     """
-    return int(_digest(base_seed, spec)[:8], 16)
+    return int(content_digest(base_seed, spec)[:8], 16)
 
 
 @dataclass(frozen=True)
@@ -439,29 +429,17 @@ class ParallelRunner:
     ) -> None:
         if workers < 0:
             raise ValueError("workers must be non-negative")
-        if spec is None:
-            # Back-compat shim: the classic keywords build the spec, whose
-            # constructor runs the one shared validate().
-            spec = RunSpec.build(
-                engine=engine,
-                streaming=streaming,
-                warmup_minutes=warmup_minutes,
-                shards=shards,
-                shard_placement=shard_placement,
-                memory_mode=memory_mode,
-            )
-        elif any(
-            value is not None
-            for value in (
-                warmup_minutes, engine, streaming,
-                shards, shard_placement, memory_mode,
-            )
-        ):
-            raise ValueError(
-                "pass either spec= or the individual run knobs, not both"
-            )
-        else:
-            spec.validate()
+        # Back-compat shim: the classic keywords build the spec unless a
+        # spec is passed.
+        spec = RunSpec.resolve(
+            spec,
+            engine=engine,
+            streaming=streaming,
+            warmup_minutes=warmup_minutes,
+            shards=shards,
+            shard_placement=shard_placement,
+            memory_mode=memory_mode,
+        )
         self.spec = spec
         available = os.cpu_count() or 1
         if workers > available:

@@ -45,10 +45,15 @@ from repro.experiments.rq4_ablation import (
     adaptivity_ablation,
     correlation_ablation,
 )
-from repro.experiments.rq5_latency import latency_rq, latency_rq_table
-from repro.experiments.rq6_slowdown import slowdown_rq, slowdown_rq_table
+from repro.experiments.rq5_latency import DEFAULT_LATENCY_RQ_POLICIES, latency_rq_table
+from repro.experiments.rq6_slowdown import (
+    DEFAULT_RQ6_CORES,
+    DEFAULT_RQ6_POLICIES,
+    DEFAULT_RQ6_SCHEDULERS,
+    slowdown_rq_table,
+)
 from repro.metrics.summary import ComparisonTable
-from repro.simulation import SimulationResult
+from repro.simulation import LatencyStats, SimulationResult
 from repro.simulation.spec import RunSpec
 
 __all__ = ["ResultsConfig", "generate_results", "write_results"]
@@ -158,6 +163,12 @@ def _measured_memory_table(
             emcr_mb_pct=100.0 * getattr(result, "emcr_mb", 0.0),
         )
     return table
+
+
+def _merged_latency(outcome: SuiteResult, policies: Sequence[str]) -> Dict[str, LatencyStats]:
+    """``{policy: latency pooled across seeds}`` for the policies that recorded any."""
+    merged = {policy: outcome.merged_latency(policy) for policy in policies}
+    return {policy: stats for policy, stats in merged.items() if stats is not None}
 
 
 def _progress(message: str, echo: bool) -> None:
@@ -293,18 +304,22 @@ def generate_results(config: ResultsConfig | None = None, echo: bool = False) ->
     # RQ5: latency tail, feedback vs. open loop, on this workload source.
     # ------------------------------------------------------------------ #
     _progress("RQ5 latency tail (event engine)", echo)
-    rq5_report = latency_rq(
-        scenarios=(scenario,),
-        seeds=seeds,
+    rq5_outcome = ExperimentSuite(
         config=config.experiment_config(seeds[0]),
+        seeds=seeds,
+        policies=DEFAULT_LATENCY_RQ_POLICIES,
         workers=config.workers,
         cache_dir=config.cache_dir,
+        scenario=scenario,
         scenario_params=scenario_params,
-    )
+        engine="event",
+        streaming=True,
+    ).run()
+    rq5_stats = _merged_latency(rq5_outcome, DEFAULT_LATENCY_RQ_POLICIES)
     rq5_parts = [
         "## RQ5 — cold-start latency tail (feedback vs. open loop)",
         "",
-        latency_rq_table(rq5_report).to_markdown(float_format="{:.1f}"),
+        latency_rq_table(scenario, rq5_stats).to_markdown(float_format="{:.1f}"),
         "",
         "_Streaming evaluation on the `event` engine: policies receive no "
         "training window and adapt online; those that override `on_feedback` "
@@ -316,19 +331,28 @@ def generate_results(config: ResultsConfig | None = None, echo: bool = False) ->
     # RQ6: slowdown under finite cores, on this workload source.
     # ------------------------------------------------------------------ #
     _progress("RQ6 slowdown under finite cores (event engine)", echo)
-    rq6_report = slowdown_rq(
-        scenarios=(scenario,),
-        seeds=seeds,
-        config=config.experiment_config(seeds[0]),
-        slo_ms=1000.0,
-        workers=config.workers,
-        cache_dir=config.cache_dir,
-        scenario_params=scenario_params,
-    )
+    rq6_cells = {}
+    for scheduler in DEFAULT_RQ6_SCHEDULERS:
+        for cores in DEFAULT_RQ6_CORES:
+            rq6_outcome = ExperimentSuite(
+                config=config.experiment_config(seeds[0]),
+                seeds=seeds,
+                policies=DEFAULT_RQ6_POLICIES,
+                workers=config.workers,
+                cache_dir=config.cache_dir,
+                scenario=scenario,
+                scenario_params=scenario_params,
+                engine="event",
+                cores=cores,
+                scheduler=scheduler,
+                slo_ms=1000.0,
+            ).run()
+            for policy, stats in _merged_latency(rq6_outcome, DEFAULT_RQ6_POLICIES).items():
+                rq6_cells[(policy, scheduler, cores)] = stats
     rq6_parts = [
         "## RQ6 — per-invocation slowdown under finite cores",
         "",
-        slowdown_rq_table(rq6_report).to_markdown(float_format="{:.2f}"),
+        slowdown_rq_table(scenario, rq6_cells).to_markdown(float_format="{:.2f}"),
         "",
         "_`event` engine with 2 cores per node and a 1000 ms SLO; fifo vs. "
         "srtf disciplines._",

@@ -434,29 +434,21 @@ class ExperimentSuite:
         spec: RunSpec | None = None,
     ) -> None:
         self.config = config or ExperimentConfig()
-        if spec is None:
-            # Back-compat shim: the classic keywords build the spec, whose
-            # constructor runs the one shared validate() — so the suite, the
-            # runner and the simulator reject an invalid configuration with
-            # the identical message.  The warm-up horizon comes from the
-            # experiment configuration, as it always has for suite sweeps.
-            spec = RunSpec.build(
-                engine=engine,
-                streaming=streaming,
-                warmup_minutes=self.config.warmup_minutes,
-                shards=shards,
-                shard_placement=shard_placement,
-                memory_mode=memory_mode,
-            )
-        elif any(
-            value is not None
-            for value in (engine, streaming, shards, shard_placement, memory_mode)
-        ):
-            raise ValueError(
-                "pass either spec= or the individual run knobs, not both"
-            )
-        else:
-            spec.validate()
+        # Back-compat shim: the classic keywords build the spec, whose
+        # constructor runs the one shared validate() — so the suite, the
+        # runner and the simulator reject an invalid configuration with the
+        # identical message.  The warm-up horizon comes from the experiment
+        # configuration, as it always has for suite sweeps; it is not a run
+        # knob, so it never conflicts with an explicit spec.
+        spec = RunSpec.resolve(
+            spec,
+            engine=engine,
+            streaming=streaming,
+            warmup_minutes=self.config.warmup_minutes if spec is None else None,
+            shards=shards,
+            shard_placement=shard_placement,
+            memory_mode=memory_mode,
+        )
         self.spec = spec
         # Attribute shims: long-standing public names, now views on the spec.
         self.engine = spec.engine

@@ -191,31 +191,18 @@ class Simulator:
         memory_mode: str | None = None,
         spec: RunSpec | None = None,
     ) -> None:
-        if spec is None:
-            # Back-compat shim: the classic keywords build the spec, whose
-            # constructor runs the one shared validate().  None means "use
-            # the RunSpec field default".
-            spec = RunSpec.build(
-                engine=engine,
-                warmup_minutes=warmup_minutes,
-                shards=shards,
-                shard_placement=shard_placement,
-                memory_mode=memory_mode,
-                cluster=cluster,
-                events=events,
-            )
-        elif any(
-            value is not None
-            for value in (
-                warmup_minutes, engine, cluster, events,
-                shards, shard_placement, memory_mode,
-            )
-        ):
-            raise ValueError(
-                "pass either spec= or the individual run knobs, not both"
-            )
-        else:
-            spec.validate()
+        # Back-compat shim: the classic keywords build the spec (None means
+        # "use the RunSpec field default") unless a spec is passed.
+        spec = RunSpec.resolve(
+            spec,
+            engine=engine,
+            warmup_minutes=warmup_minutes,
+            shards=shards,
+            shard_placement=shard_placement,
+            memory_mode=memory_mode,
+            cluster=cluster,
+            events=events,
+        )
         self.spec = spec
         self.simulation_trace = simulation_trace
         # Streaming semantics live in the spec: no training input, no

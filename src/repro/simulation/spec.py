@@ -22,11 +22,9 @@ frozen dataclass:
   the field default", so the back-compat keyword shims on the simulator,
   runner and suite no longer duplicate default values.
 
-The module also owns the engine catalog constants (re-exported by
-:mod:`repro.simulation.engine` for compatibility) and the canonical-value /
-content-digest helpers previously private to :mod:`repro.experiments
-.parallel` — they live here because the spec layer must not import the
-engine or experiment layers.
+The module also owns the engine catalog constants and the canonical-value /
+content-digest helpers — they live here because the spec layer must not
+import the engine or experiment layers.
 """
 
 from __future__ import annotations
@@ -167,6 +165,19 @@ class RunSpec:
         exactly one place — this dataclass's field defaults.
         """
         return cls(**{name: value for name, value in overrides.items() if value is not None})
+
+    @classmethod
+    def resolve(cls, spec: "RunSpec | None", **knobs: Any) -> "RunSpec":
+        """The spec an entry point runs: ``spec`` validated, or one built from ``knobs``.
+
+        ``knobs`` are the entry point's keyword shims (``None`` = not passed);
+        passing any of them together with ``spec`` is an error.
+        """
+        if spec is None:
+            return cls.build(**knobs)
+        if any(value is not None for value in knobs.values()):
+            raise ValueError("pass either spec= or the individual run knobs, not both")
+        return spec.validate()
 
     def override(self, **changes: Any) -> "RunSpec":
         """A copy with ``changes`` applied (revalidated on construction)."""

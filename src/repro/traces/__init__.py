@@ -13,8 +13,6 @@ invocation counts for every function over 14 days, together with owner
 * :mod:`repro.traces.synthetic` -- :class:`AzureTraceGenerator`, a full
   synthetic-workload generator whose marginal statistics match the published
   characteristics of the Azure trace.
-* :mod:`repro.traces.azure_loader` -- small-population dense loader for the
-  real Azure CSV schema (explicit file lists).
 * :mod:`repro.traces.azure2019` -- full-scale streaming ingestion of the real
   dataset: chunked readers, trigger filtering, top-K/sample selection,
   duration-percentile joins, an on-disk ``.npz`` cache and a deterministic
@@ -47,7 +45,6 @@ from repro.traces.archetypes import (
     generate_rare,
 )
 from repro.traces.synthetic import AzureTraceGenerator, GeneratorProfile
-from repro.traces.azure_loader import load_azure_invocation_csv
 from repro.traces.azure2019 import (
     Azure2019Config,
     Azure2019Dataset,
@@ -84,7 +81,6 @@ __all__ = [
     "generate_flash_crowd",
     "AzureTraceGenerator",
     "GeneratorProfile",
-    "load_azure_invocation_csv",
     "Azure2019Config",
     "Azure2019Dataset",
     "AzureIngestError",

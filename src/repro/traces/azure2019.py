@@ -134,11 +134,10 @@ def parse_trigger(raw: str) -> TriggerType:
 
 
 # --------------------------------------------------------------------- #
-# Row-level streaming reader (shared with the legacy azure_loader)
+# Row-level streaming reader
 # --------------------------------------------------------------------- #
 def iter_invocation_rows(
     path: str | Path,
-    on_malformed: str = "error",
 ) -> Iterator[Tuple[int, str, str, str, str, np.ndarray, np.ndarray]]:
     """Stream one daily invocation CSV as sparse per-row entries.
 
@@ -149,15 +148,11 @@ def iter_invocation_rows(
     materialized whole: one row is parsed at a time, with the per-minute
     conversion vectorized over the row.
 
-    ``on_malformed`` controls rows with fewer than the four id columns:
-    ``"error"`` (the strict dataset path) raises :class:`AzureIngestError`
-    naming the file and line — a truncated download should fail loudly —
-    while ``"skip"`` (the legacy loader's documented fallback) drops them.
-    Non-numeric or negative counts always raise: silently guessing a count
-    would corrupt every downstream statistic.
+    A row with fewer than the four id columns raises
+    :class:`AzureIngestError` naming the file and line — a truncated
+    download should fail loudly.  Non-numeric or negative counts raise too:
+    silently guessing a count would corrupt every downstream statistic.
     """
-    if on_malformed not in ("error", "skip"):
-        raise ValueError("on_malformed must be 'error' or 'skip'")
     path = Path(path)
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
@@ -174,8 +169,6 @@ def iter_invocation_rows(
             if not any(field.strip() for field in row):
                 continue  # blank line
             if len(row) < 4:
-                if on_malformed == "skip":
-                    continue
                 raise AzureIngestError(
                     f"{path.name}:{line}: truncated row "
                     f"({len(row)} column(s), expected at least 4)"

@@ -435,8 +435,7 @@ class TestClosedLoopOutcomes:
         engine, the latency-aware policy's pooled p99 cold-start wait must
         be strictly below the fixed keep-alive's at the same base horizon.
         """
-        from repro.experiments.rq5_latency import latency_rq
-        from repro.experiments import ExperimentConfig
+        from repro.experiments import ExperimentConfig, ExperimentSuite
 
         config = ExperimentConfig(
             n_functions=self.SHAPE["n_functions"],
@@ -445,14 +444,18 @@ class TestClosedLoopOutcomes:
             training_days=self.SHAPE["training_days"],
             warmup_minutes=0,
         )
-        report = latency_rq(
-            scenarios=("seasonal-mix",),
-            policies=("fixed-10min", "latency-keepalive"),
-            seeds=(self.SHAPE["seed"],),
+        outcome = ExperimentSuite(
             config=config,
+            seeds=(self.SHAPE["seed"],),
+            policies=("fixed-10min", "latency-keepalive"),
+            scenario="seasonal-mix",
+            engine="event",
             streaming=True,
-        )
-        stats = report["seasonal-mix"]
+        ).run()
+        stats = {
+            policy: outcome.merged_latency(policy)
+            for policy in ("fixed-10min", "latency-keepalive")
+        }
         assert (
             stats["latency-keepalive"].p99_ms
             < stats["fixed-10min"].p99_ms

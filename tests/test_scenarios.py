@@ -693,40 +693,32 @@ class TestRq6Report:
     CPU config of its own and relies entirely on the suite-level override."""
 
     def test_rq6_renders_on_the_azure_fixture(self):
-        from repro.experiments.rq6_slowdown import slowdown_rq, slowdown_rq_table
+        from repro.experiments.rq6_slowdown import slowdown_rq_table
 
         config = ExperimentConfig(
             n_functions=12, seed=5, duration_days=1.0, training_days=0.5,
             warmup_minutes=60,
         )
-        report = slowdown_rq(
-            scenarios=("azure2019-fixture",),
-            policies=("fixed-10min",),
-            schedulers=("fifo", "srtf"),
-            cores=(1,),
-            seeds=(5,),
-            config=config,
-            slo_ms=500.0,
-        )
-        cells = report["azure2019-fixture"]
-        assert set(cells) == {
-            ("fixed-10min", "fifo", 1),
-            ("fixed-10min", "srtf", 1),
-        }
+        cells = {}
+        for scheduler in ("fifo", "srtf"):
+            outcome = ExperimentSuite(
+                config=config,
+                seeds=(5,),
+                policies=("fixed-10min",),
+                scenario="azure2019-fixture",
+                engine="event",
+                cores=1,
+                scheduler=scheduler,
+                slo_ms=500.0,
+            ).run()
+            cells[("fixed-10min", scheduler, 1)] = outcome.merged_latency("fixed-10min")
         for stats in cells.values():
             assert stats.cpu_scheduled_events > 0
             assert stats.slo_checked_events == stats.cpu_scheduled_events
-        rendered = slowdown_rq_table(report).render(float_format="{:.2f}")
+        rendered = slowdown_rq_table("azure2019-fixture", cells).render(
+            float_format="{:.2f}"
+        )
         assert "RQ6" in rendered
         assert "azure2019-fixture" in rendered
         assert "srtf" in rendered
         assert "slowdown_p99" in rendered
-
-    def test_rq6_default_grid_covers_both_cpu_scenarios(self):
-        from repro.experiments.rq6_slowdown import (
-            DEFAULT_RQ6_SCENARIOS,
-            DEFAULT_RQ6_SCHEDULERS,
-        )
-
-        assert set(DEFAULT_RQ6_SCENARIOS) == CPU_SCENARIOS
-        assert "fifo" in DEFAULT_RQ6_SCHEDULERS

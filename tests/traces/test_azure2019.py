@@ -27,7 +27,6 @@ from repro.traces import (
     SparseTrace,
     Trace,
     load_azure2019,
-    load_azure_invocation_csv,
     split_trace,
     write_azure2019_fixture,
 )
@@ -39,6 +38,7 @@ from repro.traces.azure2019 import (
     MEMORY_TEMPLATE,
     day_number,
     iter_invocation_rows,
+    parse_trigger,
 )
 from repro.traces.schema import MINUTES_PER_DAY, TriggerType
 
@@ -110,16 +110,26 @@ def write_memory(root, day, rows):
 # Row reader and day-number parsing
 # --------------------------------------------------------------------------- #
 class TestRowReader:
-    def test_sparse_rows_carry_only_nonzero_minutes(self, tmp_path):
-        write_day(tmp_path, 1, [("o", "a", "f", "http", {3: 2, 100: 5})])
+    @pytest.mark.parametrize(
+        "minute_counts, minutes_expected, counts_expected",
+        [
+            ({3: 2, 100: 5}, [3, 100], [2, 5]),
+            # Some exports render counts as floats ("3.0"); they parse.
+            ({10: "3.0", 11: "2"}, [10, 11], [3, 2]),
+        ],
+    )
+    def test_sparse_rows_carry_only_nonzero_minutes(
+        self, tmp_path, minute_counts, minutes_expected, counts_expected
+    ):
+        write_day(tmp_path, 1, [("o", "a", "f", "http", minute_counts)])
         rows = list(
             iter_invocation_rows(tmp_path / INVOCATIONS_TEMPLATE.format(day=1))
         )
         assert len(rows) == 1
         _, owner, app, func, trigger, minutes, counts = rows[0]
         assert (owner, app, func, trigger) == ("o", "a", "f", "http")
-        np.testing.assert_array_equal(minutes, [3, 100])
-        np.testing.assert_array_equal(counts, [2, 5])
+        np.testing.assert_array_equal(minutes, minutes_expected)
+        np.testing.assert_array_equal(counts, counts_expected)
 
     def test_truncated_row_raises_with_file_and_line(self, tmp_path):
         path = write_day(tmp_path, 1, [("o", "a", "f", "http", {0: 1})])
@@ -128,17 +138,10 @@ class TestRowReader:
         with pytest.raises(AzureIngestError, match=rf"{path.name}:3"):
             list(iter_invocation_rows(path))
 
-    def test_truncated_row_skipped_in_skip_mode(self, tmp_path):
-        path = write_day(tmp_path, 1, [("o", "a", "f", "http", {0: 1})])
-        with path.open("a") as handle:
-            handle.write("truncated,row\n")
-        assert len(list(iter_invocation_rows(path, on_malformed="skip"))) == 1
-
-    def test_garbled_count_always_raises(self, tmp_path):
+    def test_garbled_count_raises(self, tmp_path):
         path = write_day(tmp_path, 1, [("o", "a", "f", "http", {7: "lots"})])
-        for mode in ("error", "skip"):
-            with pytest.raises(AzureIngestError, match="invalid invocation count"):
-                list(iter_invocation_rows(path, on_malformed=mode))
+        with pytest.raises(AzureIngestError, match="invalid invocation count"):
+            list(iter_invocation_rows(path))
 
     def test_negative_count_always_raises(self, tmp_path):
         path = write_day(tmp_path, 1, [("o", "a", "f", "http", {7: -1})])
@@ -156,11 +159,6 @@ class TestRowReader:
         with pytest.raises(AzureIngestError, match="minute columns"):
             list(iter_invocation_rows(path))
 
-    def test_invalid_malformed_mode_rejected(self, tmp_path):
-        path = write_day(tmp_path, 1, [("o", "a", "f", "http", {0: 1})])
-        with pytest.raises(ValueError, match="on_malformed"):
-            list(iter_invocation_rows(path, on_malformed="ignore"))
-
     @pytest.mark.parametrize(
         "name, expected",
         [
@@ -173,6 +171,24 @@ class TestRowReader:
     )
     def test_day_number(self, name, expected):
         assert day_number(name) == expected
+
+
+class TestParseTrigger:
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            ("http", TriggerType.HTTP),
+            ("HTTP", TriggerType.HTTP),
+            ("timer", TriggerType.TIMER),
+            ("queue", TriggerType.QUEUE),
+            ("blob", TriggerType.STORAGE),
+            ("eventhub", TriggerType.EVENT),
+            ("durable", TriggerType.ORCHESTRATION),
+            ("someNewTrigger", TriggerType.OTHERS),
+        ],
+    )
+    def test_mapping(self, raw, expected):
+        assert parse_trigger(raw) is expected
 
 
 # --------------------------------------------------------------------------- #
@@ -347,7 +363,12 @@ class TestIngestionProperties:
 # Ingestion specifics: order, selection, duplicates, durations
 # --------------------------------------------------------------------------- #
 class TestIngestion:
-    def test_functions_keep_first_seen_order(self, tmp_path):
+    @pytest.mark.parametrize(
+        "cap, expected",
+        # selection="all" with max_functions keeps the first-seen prefix.
+        [(None, ["o:a:fB", "o:a:fA"]), (1, ["o:a:fB"])],
+    )
+    def test_functions_keep_first_seen_order(self, tmp_path, cap, expected):
         write_day(
             tmp_path,
             1,
@@ -356,8 +377,46 @@ class TestIngestion:
                 ("o", "a", "fA", "http", {1: 1}),
             ],
         )
-        trace = load_azure2019(tmp_path, cache_dir=None, days=(1,))
-        assert trace.function_ids == ["o:a:fB", "o:a:fA"]
+        trace = load_azure2019(
+            tmp_path, cache_dir=None, days=(1,), selection="all", max_functions=cap
+        )
+        assert trace.function_ids == expected
+
+    def test_conflicting_trigger_across_days_keeps_the_first(self, tmp_path):
+        write_day(tmp_path, 1, [("o", "a", "f", "timer", {0: 1})])
+        write_day(tmp_path, 2, [("o", "a", "f", "http", {0: 1})])
+        trace = load_azure2019(tmp_path, cache_dir=None, days=(1, 2))
+        assert trace.record("o:a:f").trigger is TriggerType.TIMER
+        assert trace.total_invocations("o:a:f") == 2
+
+    def test_function_missing_on_one_day(self, tmp_path):
+        # Day 2 holds only the header: a silent day that shifts nothing.
+        write_day(tmp_path, 1, [("o", "a", "f1", "http", {0: 1})])
+        write_day(tmp_path, 2, [])
+        write_day(tmp_path, 3, [("o", "a", "f2", "queue", {0: 1})])
+        trace = load_azure2019(tmp_path, cache_dir=None, days=(1, 2, 3))
+        assert trace.duration_minutes == 3 * MINUTES_PER_DAY
+        assert trace.function_ids == ["o:a:f1", "o:a:f2"]
+        assert trace.series("o:a:f1")[0] == 1
+        assert trace.series("o:a:f2")[2 * MINUTES_PER_DAY] == 1
+        assert trace.total_invocations() == 2
+
+    def test_short_day_rows_are_padded_not_wrapped(self, tmp_path):
+        # A daily file with fewer minute columns must never bleed counts into
+        # the following day's window.
+        header = INVOCATION_HEADER[: 4 + 120]
+        counts = ["0"] * 120
+        counts[100] = "4"
+        (tmp_path / INVOCATIONS_TEMPLATE.format(day=1)).write_text(
+            ",".join(header) + "\n" + ",".join(["o", "a", "f", "http"] + counts) + "\n"
+        )
+        write_day(tmp_path, 2, [("o", "a", "f", "http", {30: 1})])
+        trace = load_azure2019(tmp_path, cache_dir=None, days=(1, 2))
+        series = trace.series("o:a:f")
+        assert trace.duration_minutes == 2 * MINUTES_PER_DAY
+        assert series[100] == 4
+        assert series[MINUTES_PER_DAY + 30] == 1
+        assert trace.total_invocations("o:a:f") == 5
 
     def test_duplicate_rows_are_summed(self, tmp_path):
         write_day(
@@ -499,15 +558,14 @@ class TestIngestion:
         )
 
     def test_agrees_with_the_dense_loader(self, tmp_path):
-        """The streaming path and the legacy dense loader are the same
-        function of the same files."""
+        """The sparse index and the index of the densified trace are the
+        same function of the same files."""
         write_azure2019_fixture(tmp_path, n_functions=10, days=2, seed=42)
         sparse = load_azure2019(
             tmp_path, cache_dir=None, days=(1, 2), join_durations=False
         )
-        dense = load_azure_invocation_csv(
-            [tmp_path / INVOCATIONS_TEMPLATE.format(day=day) for day in (1, 2)]
-        )
+        dense = sparse.densify()
+        assert isinstance(dense, Trace) and not isinstance(dense, SparseTrace)
         assert sparse.function_ids == dense.function_ids
         sparse_index = sparse.invocation_index()
         dense_index = dense.invocation_index()
@@ -541,6 +599,11 @@ class TestMemoryJoin:
         )
         write_memory(tmp_path, 1, [("o", "a", 10, 300.0), ("o", "b", 10, 80.0)])
         trace = load_azure2019(tmp_path, cache_dir=None, days=(1,))
+        assert {app: len(ids) for app, ids in trace.functions_by_app().items()} == {
+            "o:a": 2,
+            "o:b": 1,
+        }
+        assert len(trace.functions_by_owner()["o"]) == 3
         assert trace.record("o:a:f1").memory_mb == pytest.approx(150.0)
         assert trace.record("o:a:f2").memory_mb == pytest.approx(150.0)
         assert trace.record("o:b:solo").memory_mb == pytest.approx(80.0)
