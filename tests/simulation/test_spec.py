@@ -63,6 +63,30 @@ class TestConstruction:
             spec.override(engine="vectorized")
 
 
+class TestResolve:
+    """``RunSpec.resolve`` is the spec-or-keywords rule every entry point shares."""
+
+    def test_without_spec_builds_from_the_knobs(self):
+        assert RunSpec.resolve(None, engine="event", shards=None) == RunSpec(
+            engine="event"
+        )
+
+    def test_without_spec_or_knobs_is_the_default(self):
+        assert RunSpec.resolve(None) == RunSpec()
+
+    def test_spec_with_unset_knobs_is_returned(self):
+        spec = RunSpec(engine="event", shards=2)
+        assert RunSpec.resolve(spec, engine=None, cores=None) is spec
+
+    def test_spec_with_any_knob_is_rejected(self):
+        with pytest.raises(ValueError, match="not both"):
+            RunSpec.resolve(RunSpec(), engine=None, warmup_minutes=0)
+
+    def test_knob_values_are_validated(self):
+        with pytest.raises(ValueError, match="unknown engine"):
+            RunSpec.resolve(None, engine="warp")
+
+
 class TestValidation:
     def test_negative_warmup(self):
         with pytest.raises(ValueError, match="warmup_minutes must be non-negative"):

@@ -722,3 +722,40 @@ class TestRq6Report:
         assert "azure2019-fixture" in rendered
         assert "srtf" in rendered
         assert "slowdown_p99" in rendered
+
+    def test_rq6_default_grid_pairs_fifo_against_srtf(self):
+        from repro.experiments.rq6_slowdown import (
+            DEFAULT_RQ6_CORES,
+            DEFAULT_RQ6_POLICIES,
+            DEFAULT_RQ6_SCHEDULERS,
+        )
+
+        # The results book sweeps exactly this grid for its RQ6 section.
+        assert DEFAULT_RQ6_SCHEDULERS == ("fifo", "srtf")
+        assert DEFAULT_RQ6_CORES == (2,)
+        assert DEFAULT_RQ6_POLICIES == ("fixed-10min", "spes")
+
+    def test_rq5_table_has_one_row_per_policy_in_order(self):
+        from repro.experiments.rq5_latency import latency_rq_table
+        from repro.simulation import LatencyStats
+
+        per_policy = {
+            "latency-keepalive": LatencyStats(
+                total_events=10, warm_events=7, cold_start_events=2,
+                delayed_events=1, cold_wait_ms=np.array([10.0, 20.0, 30.0]),
+            ),
+            "fixed-10min": LatencyStats(
+                total_events=10, warm_events=9, cold_start_events=1,
+                cold_wait_ms=np.array([50.0]),
+            ),
+        }
+        table = latency_rq_table("seasonal-mix", per_policy)
+        assert [row["policy"] for row in table.rows] == [
+            "latency-keepalive",
+            "fixed-10min",
+        ]
+        assert {row["scenario"] for row in table.rows} == {"seasonal-mix"}
+        first, second = table.rows
+        assert first["cold_events"] == 3.0
+        assert first["max_ms"] == 30.0
+        assert second["p99_ms"] == 50.0

@@ -185,6 +185,15 @@ class TestParseTrigger:
             ("eventhub", TriggerType.EVENT),
             ("durable", TriggerType.ORCHESTRATION),
             ("someNewTrigger", TriggerType.OTHERS),
+            # The dataset's own category names map to themselves.
+            ("storage", TriggerType.STORAGE),
+            ("event", TriggerType.EVENT),
+            ("orchestration", TriggerType.ORCHESTRATION),
+            ("others", TriggerType.OTHERS),
+            ("other", TriggerType.OTHERS),
+            ("combination", TriggerType.COMBINATION),
+            # Surrounding whitespace and case are ignored.
+            (" Timer ", TriggerType.TIMER),
         ],
     )
     def test_mapping(self, raw, expected):
@@ -381,6 +390,72 @@ class TestIngestion:
             tmp_path, cache_dir=None, days=(1,), selection="all", max_functions=cap
         )
         assert trace.function_ids == expected
+
+    def test_max_functions_cap(self, tmp_path):
+        write_day(
+            tmp_path, 1, [("o", "a", f"f{i}", "http", {i: 1}) for i in range(5)]
+        )
+        trace = load_azure2019(
+            tmp_path, cache_dir=None, days=(1,), selection="all", max_functions=2
+        )
+        assert trace.function_ids == ["o:a:f0", "o:a:f1"]
+        assert trace.total_invocations() == 2
+
+    def test_single_day(self, tmp_path):
+        write_day(
+            tmp_path,
+            1,
+            [
+                ("o1", "a1", "f1", "http", {0: 3, 100: 1}),
+                ("o1", "a1", "f2", "timer", {50: 1}),
+            ],
+        )
+        trace = load_azure2019(tmp_path, cache_dir=None, days=(1,))
+        assert len(trace) == 2
+        assert trace.duration_minutes == MINUTES_PER_DAY
+        assert trace.total_invocations("o1:a1:f1") == 4
+        assert trace.record("o1:a1:f2").trigger is TriggerType.TIMER
+
+    def test_three_days_stitch_into_one_timeline(self, tmp_path):
+        for day in range(3):
+            write_day(tmp_path, day + 1, [("o", "a", "f", "http", {day * 7: day + 1})])
+        trace = load_azure2019(tmp_path, cache_dir=None, days=(1, 2, 3))
+        assert trace.duration_minutes == 3 * MINUTES_PER_DAY
+        series = trace.series("o:a:f")
+        for day in range(3):
+            assert series[day * MINUTES_PER_DAY + day * 7] == day + 1
+        assert trace.total_invocations() == 6
+
+    def test_days_are_stitched_in_chronological_order(self, tmp_path):
+        write_day(tmp_path, 1, [("o", "a", "f", "http", {10: 1})])
+        write_day(tmp_path, 2, [("o", "a", "f", "http", {20: 2})])
+        trace = load_azure2019(tmp_path, cache_dir=None, days=(2, 1))
+        series = trace.series("o:a:f")
+        assert series[10] == 1
+        assert series[MINUTES_PER_DAY + 20] == 2
+
+    def test_headerless_day_is_a_silent_day(self, tmp_path):
+        # An empty day file (a partial download) shifts no later day.
+        write_day(tmp_path, 1, [("o", "a", "f", "http", {0: 1})])
+        (tmp_path / INVOCATIONS_TEMPLATE.format(day=2)).write_text("")
+        write_day(tmp_path, 3, [("o", "a", "f", "http", {20: 2})])
+        trace = load_azure2019(tmp_path, cache_dir=None, days=(1, 2, 3))
+        series = trace.series("o:a:f")
+        assert trace.duration_minutes == 3 * MINUTES_PER_DAY
+        assert series[MINUTES_PER_DAY : 2 * MINUTES_PER_DAY].sum() == 0
+        assert series[2 * MINUTES_PER_DAY + 20] == 2
+
+    def test_header_only_days_are_rejected(self, tmp_path):
+        write_day(tmp_path, 1, [])
+        with pytest.raises(AzureIngestError, match="no functions"):
+            load_azure2019(tmp_path, cache_dir=None, days=(1,))
+
+    def test_truncated_row_fails_the_load(self, tmp_path):
+        path = write_day(tmp_path, 1, [("o", "a", "f", "http", {0: 1})])
+        with path.open("a") as handle:
+            handle.write("truncated,row\n")
+        with pytest.raises(AzureIngestError, match=rf"{path.name}:3"):
+            load_azure2019(tmp_path, cache_dir=None, days=(1,))
 
     def test_conflicting_trigger_across_days_keeps_the_first(self, tmp_path):
         write_day(tmp_path, 1, [("o", "a", "f", "timer", {0: 1})])
