@@ -207,7 +207,15 @@ class SweepCell:
 # On-disk cache
 # --------------------------------------------------------------------- #
 class ResultCache:
-    """Pickle-per-key store of simulation results under a cache directory."""
+    """Pickle-per-key store of simulation results under a cache directory.
+
+    Entries are plain pickles of :class:`SimulationResult`, whose
+    ``__getstate__`` packs ``per_function`` into an id list and three
+    ``int64`` count columns instead of one object per function.  Entries
+    written before that layout existed (``per_function`` pickled as a dict)
+    still load, under the same keys; a checkout older than the layout
+    cannot read entries written by a newer one.
+    """
 
     def __init__(self, cache_dir: str | Path) -> None:
         self.cache_dir = Path(cache_dir)
@@ -549,8 +557,10 @@ class ParallelRunner:
 
         results: Dict[str, SimulationResult] = {}
         pending: list[SweepCell] = []
+        # Keyed once per cell: on the event engine each key builds the policy.
+        keys = {cell.name: self.cache_key(cell) for cell in cells} if self.cache else {}
         for cell in cells:
-            cached = self.cache.get(self.cache_key(cell)) if self.cache else None
+            cached = self.cache.get(keys[cell.name]) if self.cache else None
             if cached is not None:
                 results[cell.name] = cached
             else:
@@ -572,7 +582,7 @@ class ParallelRunner:
                 result = computed[cell.name]
                 results[cell.name] = result
                 if self.cache:
-                    self.cache.put(self.cache_key(cell), result)
+                    self.cache.put(keys[cell.name], result)
 
         return {name: results[name] for name in names}
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from operator import index
 from typing import Dict, Iterable, Mapping
 
 import numpy as np
@@ -449,8 +450,8 @@ class SimulationResult:
     memory_mode:
         ``"unit"`` (the paper's one-abstract-unit-per-instance accounting,
         always collected) or ``"mb"`` (measured footprints additionally
-        collected — the fields below).  Unit-mode results hash and pickle
-        exactly as before this field existed.
+        collected — the fields below).  Unit-mode results hash exactly as
+        before this field existed.
     memory_usage_kb:
         Per-minute loaded *kilobytes* (measured footprints, integer), MB
         mode only; ``None`` otherwise.
@@ -476,6 +477,61 @@ class SimulationResult:
     memory_usage_kb: np.ndarray | None = None
     total_wasted_memory_kb: int = 0
     emcr_mb: float = 0.0
+
+    # ------------------------------------------------------------------ #
+    # Pickling: per-function statistics travel as columns
+    # ------------------------------------------------------------------ #
+    def __getstate__(self) -> Dict[str, object]:
+        """Instance state with :attr:`per_function` packed into columns.
+
+        A pool task returns one result per shard and the result cache
+        stores one per cell, each holding up to tens of thousands of
+        :class:`FunctionStats`.  Pickled as objects they dominate the
+        payload's cost, so ``per_function`` is stored instead as the tuple
+        ``(keys, function_ids, counts)``: the dict's keys in insertion
+        order, each entry's ``function_id``, and an ``int64`` array whose
+        three rows are ``invocations``, ``cold_starts`` and
+        ``wasted_memory_time``.  Every count passes through
+        :func:`operator.index`, so a float raises ``TypeError`` instead of
+        being truncated, and a count beyond ``int64`` raises
+        ``OverflowError``.  Every other field pickles as it always has.
+        """
+        state = dict(self.__dict__)
+        stats = list(self.per_function.values())
+        counts = np.array(
+            [
+                [index(item.invocations) for item in stats],
+                [index(item.cold_starts) for item in stats],
+                [index(item.wasted_memory_time) for item in stats],
+            ],
+            dtype=np.int64,
+        )
+        state["per_function"] = (
+            list(self.per_function),
+            [item.function_id for item in stats],
+            counts,
+        )
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        """Rebuild :attr:`per_function` from its columns, in key order.
+
+        Counts come back as plain Python ints.  A state whose
+        ``per_function`` is still a dict (pickled before the columnar
+        layout existed) loads unchanged.
+        """
+        packed = state.get("per_function")
+        if isinstance(packed, tuple):
+            keys, function_ids, counts = packed
+            invocations, cold_starts, wasted = counts.tolist()
+            state = dict(state)
+            state["per_function"] = dict(
+                zip(
+                    keys,
+                    map(FunctionStats, function_ids, invocations, cold_starts, wasted),
+                )
+            )
+        self.__dict__.update(state)
 
     # ------------------------------------------------------------------ #
     # Cold-start aggregates

@@ -162,14 +162,16 @@ def shard_fallback_reason(
             "an intra-node CPU pool without a cluster is shared by every "
             "function; partitioning it would change the contention"
         )
-    if training_trace is not None:
-        sim_ids = [record.function_id for record in simulation_trace.records()]
-        train_ids = [record.function_id for record in training_trace.records()]
-        if sim_ids != train_ids:
-            return (
-                "training and simulation traces do not share one function "
-                "ordering, so one partition cannot slice both windows"
-            )
+    # Records are keyed by function id, so comparing the id lists compares
+    # the record orderings without materializing either record list.
+    if (
+        training_trace is not None
+        and simulation_trace.function_ids != training_trace.function_ids
+    ):
+        return (
+            "training and simulation traces do not share one function "
+            "ordering, so one partition cannot slice both windows"
+        )
     unknown = {fid for fid in initially_resident if fid not in simulation_trace}
     if unknown:
         return (

@@ -24,6 +24,7 @@ from repro.experiments.parallel import (
     register_policy,
 )
 from repro.experiments.suite import ExperimentSuite
+from repro.simulation.results import SimulationResult
 from repro.traces import (
     AzureTraceGenerator,
     GeneratorProfile,
@@ -291,6 +292,16 @@ class TestParallelRunner:
         }
         assert len(set(fingerprints.values())) == 1, fingerprints
 
+    def test_pooled_shards_keep_the_serial_function_order(self, split):
+        """The fingerprint sorts ids, so it cannot see a reordered dict."""
+        specs = {"fixed-5min": PolicySpec.of("fixed-keepalive", keep_alive_minutes=5)}
+        serial = ParallelRunner({"w": split}, warmup_minutes=60, shards=2)
+        pool = ParallelRunner({"w": split}, warmup_minutes=60, shards=2, workers=2)
+        serial_result = serial.run_policies(specs, trace_key="w")["fixed-5min"]
+        pool_result = pool.run_policies(specs, trace_key="w")["fixed-5min"]
+        assert list(pool_result.per_function) == list(serial_result.per_function)
+        assert pool_result.per_function == serial_result.per_function
+
     @pytest.mark.parametrize("layout", ["dense", "dense-reordered", "sparse"])
     @pytest.mark.parametrize("prebuilt", [False, True], ids=["cold", "indexed"])
     def test_one_cell_agrees_whoever_built_the_index(self, prebuilt, layout):
@@ -436,6 +447,25 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         assert cache.get("missing") is None
         assert cache.misses == 1
+
+    def test_entry_written_before_the_columnar_layout_loads(
+        self, split, suite_specs, tmp_path, monkeypatch
+    ):
+        """An entry whose ``per_function`` was pickled as a dict still loads."""
+        runner = ParallelRunner({"w": split}, warmup_minutes=60)
+        cell = runner.cell("c", suite_specs["fixed-5min"], "w")
+        result = runner.run_cells([cell])["c"]
+        cache = ResultCache(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(SimulationResult, "__getstate__", lambda self: dict(self.__dict__))
+            cache.put("old", result)
+        # The old layout pickles one FunctionStats object per function.
+        assert b"FunctionStats" in (tmp_path / "old.pkl").read_bytes()
+        loaded = cache.get("old")
+        assert cache.hits == 1
+        assert loaded.deterministic_fingerprint() == result.deterministic_fingerprint()
+        assert list(loaded.per_function) == list(result.per_function)
+        assert loaded.per_function == result.per_function
 
 
 @pytest.fixture(scope="module")

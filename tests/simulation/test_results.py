@@ -1,14 +1,23 @@
 """Tests for simulation result aggregation."""
 
+import copy
+import dataclasses
+import math
+import pickle
+import warnings
+
 import numpy as np
 import pytest
 
+from repro.baselines import FixedKeepAlivePolicy
+from repro.simulation import ClusterModel, ShardFallbackWarning, simulate_policy
 from repro.simulation.results import (
     FunctionStats,
     LatencyStats,
     SimulationResult,
     compare_results,
 )
+from repro.traces import AzureTraceGenerator, GeneratorProfile, split_trace
 
 
 def make_result(stats, memory=None, wmt=0, emcr=0.0):
@@ -325,3 +334,124 @@ class TestLatencyStatsCpuMerge:
         flipped = LatencyStats.merge([new, old])
         assert flipped.cpu_scheduled_events == 1
         assert flipped.slo_ms == 100.0
+
+
+# --------------------------------------------------------------------------- #
+# Pickling: per-function statistics travel as columns
+# --------------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def small_split():
+    profile = GeneratorProfile(
+        n_functions=30, duration_days=2.0, unseen_window_days=0.5, seed=17
+    )
+    return split_trace(AzureTraceGenerator(profile).generate(), training_days=1.5)
+
+
+def _simulate(split, **options):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ShardFallbackWarning)
+        return simulate_policy(
+            FixedKeepAlivePolicy(10),
+            split.simulation,
+            split.training,
+            warmup_minutes=60,
+            **options,
+        )
+
+
+ROUND_TRIP_CASES = {
+    "vectorized": {},
+    "event": {"engine": "event"},
+    "cluster": {"cluster": ClusterModel(memory_capacity=6, n_nodes=2)},
+    "mb": {"memory_mode": "mb"},
+    "merged-shards": {"shards": 2},
+}
+
+
+def assert_same_value(first, second, path="result"):
+    """Recursive equality over arrays, dicts, dataclasses and plain values."""
+    assert type(first) is type(second), path
+    if isinstance(first, np.ndarray):
+        assert first.dtype == second.dtype, path
+        np.testing.assert_array_equal(first, second, err_msg=path)
+    elif isinstance(first, dict):
+        assert list(first) == list(second), path
+        for key in first:
+            assert_same_value(first[key], second[key], f"{path}[{key!r}]")
+    elif dataclasses.is_dataclass(first):
+        assert_same_value(vars(first), vars(second), path)
+    elif isinstance(first, float) and math.isnan(first):
+        assert math.isnan(second), path
+    else:
+        assert first == second, path
+
+
+ROUND_TRIPS = {
+    "pickle": lambda result: pickle.loads(pickle.dumps(result)),
+    "deepcopy": copy.deepcopy,
+}
+
+
+class TestColumnarPickle:
+    @pytest.fixture(
+        scope="class", params=sorted(ROUND_TRIP_CASES) + ["empty", "unsorted-ids"]
+    )
+    def result(self, request, small_split):
+        if request.param == "empty":
+            return make_result([], memory=[0] * 10)
+        if request.param == "unsorted-ids":
+            return make_result(
+                [
+                    FunctionStats("c", 4, 1, 3),
+                    FunctionStats("a", 0, 0, 9),
+                    FunctionStats("b", 2, 2),
+                ],
+                memory=[1] * 10,
+                wmt=12,
+                emcr=0.25,
+            )
+        result = _simulate(small_split, **ROUND_TRIP_CASES[request.param])
+        assert result.per_function
+        if request.param == "event":
+            assert result.latency is not None
+        if request.param == "cluster":
+            assert result.cluster is not None
+        if request.param == "mb":
+            assert result.memory_usage_kb is not None
+        return result
+
+    @pytest.mark.parametrize("round_trip", sorted(ROUND_TRIPS))
+    def test_round_trip_keeps_every_field(self, result, round_trip):
+        fingerprint = result.deterministic_fingerprint()
+        back = ROUND_TRIPS[round_trip](result)
+        # Every field, with per_function's key order and each FunctionStats.
+        assert_same_value(result, back)
+        for stats in back.per_function.values():
+            assert type(stats.invocations) is int
+            assert type(stats.cold_starts) is int
+            assert type(stats.wasted_memory_time) is int
+        assert back.deterministic_fingerprint() == fingerprint
+
+    def test_keys_and_ids_travel_separately(self):
+        result = make_result([])
+        result.per_function = {"key": FunctionStats("id", 5, 2, 7)}
+        back = pickle.loads(pickle.dumps(result))
+        assert back.per_function == {"key": FunctionStats("id", 5, 2, 7)}
+
+    def test_numpy_counts_come_back_as_python_ints(self):
+        stats = FunctionStats("a", np.int64(4), np.int32(1), np.uint16(9))
+        back = pickle.loads(pickle.dumps(make_result([stats])))
+        assert back.per_function["a"] == FunctionStats("a", 4, 1, 9)
+        assert type(back.per_function["a"].cold_starts) is int
+
+    @pytest.mark.parametrize("count", [1.5, 2.0, np.float64(3.0)])
+    def test_float_count_raises_instead_of_truncating(self, count):
+        result = make_result([FunctionStats("a", invocations=count)])
+        with pytest.raises(TypeError):
+            pickle.dumps(result)
+
+    @pytest.mark.parametrize("count", [2**63, -(2**63) - 1])
+    def test_count_beyond_int64_raises(self, count):
+        result = make_result([FunctionStats("a", wasted_memory_time=count)])
+        with pytest.raises(OverflowError):
+            pickle.dumps(result)
