@@ -220,7 +220,8 @@ def generate_results(config: ResultsConfig | None = None, echo: bool = False) ->
     )
 
     # ------------------------------------------------------------------ #
-    # RQ1 + RQ2: the multi-seed policy comparison.
+    # RQ1 + RQ2: the multi-seed policy comparison.  Its suite builds each
+    # seed's workload once; RQ3/RQ4 run on it and RQ5/RQ6 derive from it.
     # ------------------------------------------------------------------ #
     _progress("RQ1/RQ2 policy suite", echo)
     suite = ExperimentSuite(
@@ -304,16 +305,8 @@ def generate_results(config: ResultsConfig | None = None, echo: bool = False) ->
     # RQ5: latency tail, feedback vs. open loop, on this workload source.
     # ------------------------------------------------------------------ #
     _progress("RQ5 latency tail (event engine)", echo)
-    rq5_outcome = ExperimentSuite(
-        config=config.experiment_config(seeds[0]),
-        seeds=seeds,
-        policies=DEFAULT_LATENCY_RQ_POLICIES,
-        workers=config.workers,
-        cache_dir=config.cache_dir,
-        scenario=scenario,
-        scenario_params=scenario_params,
-        engine="event",
-        streaming=True,
+    rq5_outcome = suite.derive(
+        policies=DEFAULT_LATENCY_RQ_POLICIES, engine="event", streaming=True
     ).run()
     rq5_stats = _merged_latency(rq5_outcome, DEFAULT_LATENCY_RQ_POLICIES)
     rq5_parts = [
@@ -334,14 +327,8 @@ def generate_results(config: ResultsConfig | None = None, echo: bool = False) ->
     rq6_cells = {}
     for scheduler in DEFAULT_RQ6_SCHEDULERS:
         for cores in DEFAULT_RQ6_CORES:
-            rq6_outcome = ExperimentSuite(
-                config=config.experiment_config(seeds[0]),
-                seeds=seeds,
+            rq6_outcome = suite.derive(
                 policies=DEFAULT_RQ6_POLICIES,
-                workers=config.workers,
-                cache_dir=config.cache_dir,
-                scenario=scenario,
-                scenario_params=scenario_params,
                 engine="event",
                 cores=cores,
                 scheduler=scheduler,

@@ -18,7 +18,9 @@ with a ``cache_dir``, persisted so repeated sweeps only simulate new cells.
 The suite is the only experiment front-end: the ``spes-repro``
 ``compare``/``tradeoff``/``ablation``/``sweep`` commands, the RQ3 sweeps
 and RQ4 ablations (through :meth:`ExperimentSuite.run_spes_variants`) and
-the results book all run on it.
+the results book all run on it.  The book's RQ5/RQ6 suites are derived
+from its RQ1/RQ2 suite (:meth:`ExperimentSuite.derive`) and share each
+seed's built workload.
 """
 
 from __future__ import annotations
@@ -513,6 +515,9 @@ class ExperimentSuite:
                 )
         self._traces: Dict[str, TraceSplit] | None = None
         self._clusters: Dict[str, object] = {}
+        # Each seed's event config as its workload prescribes it, and with
+        # this suite's CPU/SLO overlay folded in (what its cells run under).
+        self._workload_events: Dict[str, EventConfig] = {}
         self._events: Dict[str, EventConfig] = {}
         self._runner: ParallelRunner | None = None
         # Every simulated cell, keyed by content: (trace key, spec digest).
@@ -562,15 +567,58 @@ class ExperimentSuite:
                         cluster = replace(cluster, placement=self.placement)
                     if cluster is not None:
                         self._clusters[key] = cluster
-                    self._events[key] = workload.events
+                    self._workload_events[key] = workload.events
                 else:
                     trace = AzureTraceGenerator(config.generator_profile()).generate()
                     self._traces[key] = split_trace(
                         trace, training_days=config.training_days
                     )
-                    self._events[key] = EventConfig(seed=seed)
-                self._events[key] = self._apply_cpu_overrides(self._events[key])
+                    self._workload_events[key] = EventConfig(seed=seed)
+                self._events[key] = self._apply_cpu_overrides(self._workload_events[key])
         return self._traces
+
+    def derive(self, **run_changes: object) -> "ExperimentSuite":
+        """A suite running other settings on this suite's workloads.
+
+        The derived suite has this suite's ``config``, ``seeds``, ``workers``,
+        ``cache_dir``, ``scenario``, ``scenario_params`` and ``placement``;
+        every other constructor keyword (``policies``, ``engine``,
+        ``streaming``, ``cores``/``scheduler``/``slo_ms``, ``spec``, ...)
+        comes from ``run_changes`` or its constructor default, validated as
+        the constructor validates it — so its cells and cache keys are those
+        of the same suite built on its own.
+
+        Instead of building its own, it reuses each seed's built workload:
+        the split objects themselves (with their cached indexes and
+        fingerprints), the cluster model and the workload's own event
+        config, on which it folds its own CPU/SLO overlay.  It has its own
+        runner and its own result memo.  This suite's workloads are built
+        first if they are not yet.
+        """
+        shared = dict(
+            config=self.config,
+            seeds=self.seeds,
+            workers=self.workers,
+            cache_dir=self.cache_dir,
+            scenario=self.scenario,
+            scenario_params=self.scenario_params,
+            placement=self.placement,
+        )
+        clash = sorted(set(run_changes) & set(shared))
+        if clash:
+            raise TypeError(
+                f"derive() keeps the source suite's {clash}; build a new "
+                "ExperimentSuite to change them"
+            )
+        derived = ExperimentSuite(**shared, **run_changes)
+        derived._traces = dict(self.traces())
+        derived._clusters = dict(self._clusters)
+        derived._workload_events = dict(self._workload_events)
+        derived._events = {
+            key: derived._apply_cpu_overrides(events)
+            for key, events in self._workload_events.items()
+        }
+        return derived
 
     def _apply_cpu_overrides(self, events: EventConfig) -> EventConfig:
         """Overlay the suite-level CPU/SLO knobs on one seed's event config.

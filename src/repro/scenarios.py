@@ -1119,7 +1119,10 @@ register_scenario(
 register_scenario(
     Scenario(
         name="long-duration-mix",
-        description="bimodal service times on shared cores: convoys under fifo, relief under srtf/las",
+        description=(
+            "bimodal service times on shared cores: convoys under fifo, "
+            "relief under srtf/las"
+        ),
         builder=_build_long_duration_mix,
         defaults={
             "long_fraction": 0.2,

@@ -8,10 +8,13 @@ runs produce byte-identical documents, wall-clock measurement columns stay
 out, and the GFM rendering underneath cannot be broken by cell content.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments import ResultsConfig, generate_results, write_results
 from repro.metrics import ComparisonTable
+from repro.scenarios import Scenario
 
 TINY = ResultsConfig(
     n_functions=8, population=12, days=1.5, training_days=1.0, seeds=(3,)
@@ -30,6 +33,19 @@ class TestResultsBook:
 
     def test_is_deterministic(self, tiny_book):
         assert generate_results(TINY) == tiny_book
+
+    def test_builds_each_seed_workload_once(self, monkeypatch):
+        """RQ1-RQ6 share one built workload per seed; RQ5/RQ6 derive theirs."""
+        builds = []
+        original = Scenario.build
+
+        def counting_build(self, *args, **kwargs):
+            builds.append(kwargs["seed"])
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Scenario, "build", counting_build)
+        generate_results(replace(TINY, seeds=(3, 4)))
+        assert sorted(builds) == [3, 4]
 
     def test_declares_itself_generated(self, tiny_book):
         assert "do not edit by hand" in tiny_book
