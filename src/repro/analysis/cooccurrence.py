@@ -177,7 +177,7 @@ def cooccurrence_study(
     eligible = [
         function_id
         for function_id in trace.function_ids
-        if int((trace.series(function_id) > 0).sum()) >= min_invocations
+        if trace.row(function_id)[0].size >= min_invocations
     ]
     if max_functions is not None and len(eligible) > max_functions:
         eligible = sorted(

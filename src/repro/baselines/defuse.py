@@ -76,7 +76,7 @@ def mine_dependencies(
         members = [fid for fid in members if fid in training]
         if len(members) < 2:
             continue
-        minutes = [np.nonzero(training.series(fid))[0] for fid in members]
+        minutes = [training.row(fid)[0] for fid in members]
         # A never-invoked predecessor has no support to divide by.
         predecessors = [
             i for i, pred in enumerate(minutes) if pred.size >= max(min_support, 1)

@@ -138,11 +138,12 @@ class HybridHistogramPolicyBase(VectorizedPolicy):
         # Seed each unit's histogram with the idle times observed in training.
         unit_minutes: Dict[str, np.ndarray] = {}
         for record in functions:
-            series = training.series(record.function_id) if record.function_id in training else None
-            if series is None or not series.any():
+            if record.function_id not in training:
+                continue
+            minutes, _ = training.row(record.function_id)
+            if minutes.size == 0:
                 continue
             unit = self._unit_of_function[record.function_id]
-            minutes = np.nonzero(series)[0]
             if unit in unit_minutes:
                 unit_minutes[unit] = np.union1d(unit_minutes[unit], minutes)
             else:

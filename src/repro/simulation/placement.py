@@ -183,9 +183,7 @@ class CorrelationAwarePlacement(PlacementStrategy):
             positions = [position_of[fid] for fid in members if fid in position_of]
             if len(positions) < 2:
                 continue
-            weight = float(
-                sum(int(np.asarray(trace.series(fid)).sum()) for fid in members)
-            )
+            weight = float(sum(trace.total_invocations(fid) for fid in members))
             # A group wider than a node inevitably thrashes wherever it
             # lands; split it into node-sized chunks (weight prorated) so
             # co-location is kept piecewise without drowning one node.

@@ -18,12 +18,14 @@ fourteen daily CSV files per file family, where day ``DD`` runs 01..14:
 At full scale (~83k functions x 14 days) the invocation matrix is ~13 GB
 dense, so this module never materializes it: daily files are scanned twice
 (once to *select* functions, once to *assemble* their sparse series) and the
-result is a function-major :class:`~repro.traces.trace.SparseTrace` whose
-:meth:`~repro.traces.trace.SparseTrace.invocation_index` feeds the engines
-directly.  Duration percentiles are joined into per-function *measured*
-:class:`~repro.traces.schema.DurationProfile`\\ s for the sub-minute event
-engine; functions without a duration row fall back to the archetype/trigger
-derivation in :func:`~repro.traces.archetypes.duration_profile_for`.
+function-major CSR arrays go straight to the
+:class:`~repro.traces.trace.SparseTrace` constructor, whose trace keeps them
+as they are and whose :meth:`~repro.traces.trace.Trace.invocation_index`
+feeds the engines directly.  Duration percentiles are joined into
+per-function *measured* :class:`~repro.traces.schema.DurationProfile`\\ s
+for the sub-minute event engine; functions without a duration row fall
+back to the archetype/trigger derivation in
+:func:`~repro.traces.archetypes.duration_profile_for`.
 Memory percentiles are joined into per-function measured footprints
 (``FunctionRecord.memory_mb``): the dataset reports memory per *app*, so
 each app's allocation is fanned out equally over the functions the dataset
@@ -424,7 +426,7 @@ class Azure2019Dataset:
         """Content fingerprint of (source files x ingestion options).
 
         This is the dataset identity that flows into trace metadata and —
-        via :meth:`~repro.traces.trace.SparseTrace.fingerprint` — into sweep
+        via :meth:`~repro.traces.trace.Trace.fingerprint` — into sweep
         cache keys: editing any source CSV or any option yields a new key.
         """
         config = config or Azure2019Config()

@@ -441,7 +441,9 @@ class AzureTraceGenerator:
                 if function_id == parent_id:
                     continue
                 record = by_id[function_id]
-                is_chained_archetype = record.archetype is not None and "chained" in record.archetype
+                is_chained_archetype = (
+                    record.archetype is not None and "chained" in record.archetype
+                )
                 if not is_chained_archetype and rng.random() >= profile.chained_fraction_within_app:
                     continue
                 if record.archetype is not None and record.archetype.startswith("unseen"):

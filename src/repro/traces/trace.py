@@ -6,6 +6,13 @@ for every function.  Functions with zero invocations may still appear in the
 trace (they exist in the platform's registry even when idle), which matters
 because the paper explicitly reasons about functions that never appear during
 training ("unseen" functions).
+
+Every trace stores the matrix as CSR compressed along the *function* axis,
+``fn_minutes[fn_indptr[i]:fn_indptr[i + 1]]`` being the minutes at which
+function ``i`` (in record order) is invoked, so even the Azure 2019 dataset
+(83k functions over 14 days, a ~13 GB dense matrix) fits.  :class:`Trace`
+builds it from dense per-function series; :class:`SparseTrace` adopts CSR
+arrays as given.
 """
 
 from __future__ import annotations
@@ -86,25 +93,6 @@ class InvocationIndex:
         return cached
 
 
-def _csr_index(
-    function_ids: tuple[str, ...],
-    minutes: np.ndarray,
-    findex: np.ndarray,
-    counts: np.ndarray,
-    duration: int,
-) -> InvocationIndex:
-    """Assemble an :class:`InvocationIndex` from minute-sorted entries."""
-    indptr = np.zeros(duration + 1, dtype=np.int64)
-    np.cumsum(np.bincount(minutes, minlength=duration), out=indptr[1:])
-    return InvocationIndex(
-        function_ids=function_ids,
-        index_of={fid: i for i, fid in enumerate(function_ids)},
-        indptr=indptr,
-        indices=findex,
-        counts=counts,
-    )
-
-
 def _minute_order(minutes: np.ndarray, duration: int) -> np.ndarray:
     """Stable argsort of ``minutes``, the within-minute entry order kept.
 
@@ -133,6 +121,29 @@ def remap_csr(
     return np.searchsorted(kept, index.indptr), positions[kept], index.counts[kept]
 
 
+def _record_map(records: Iterable[FunctionRecord]) -> Dict[str, FunctionRecord]:
+    """``{function_id: record}`` in the given order; duplicate ids rejected."""
+    mapping: Dict[str, FunctionRecord] = {}
+    for record in records:
+        if record.function_id in mapping:
+            raise ValueError(f"duplicate function id: {record.function_id}")
+        mapping[record.function_id] = record
+    return mapping
+
+
+class _TokenSlot:
+    """A lazily filled slot for the per-record ``sparse:`` fingerprint tokens.
+
+    The time slices of one trace keep its records in order, so they share
+    one slot and the tokens are encoded once for all of them.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self) -> None:
+        self.data: bytes | None = None
+
+
 class Trace:
     """Per-minute invocation counts for a set of serverless functions.
 
@@ -142,7 +153,9 @@ class Trace:
         Static metadata for every function in the trace.
     counts:
         Mapping from function id to a 1-D integer array of invocation counts,
-        one entry per minute.  All arrays must share the same length.
+        one entry per minute.  All arrays must share the same length.  A
+        function the mapping omits is never invoked.  Rows follow the order
+        of ``records``, whatever the order of the mapping.
     metadata:
         Optional trace-level metadata; a default is synthesized if omitted.
     """
@@ -153,16 +166,11 @@ class Trace:
         counts: Mapping[str, Sequence[int] | np.ndarray],
         metadata: TraceMetadata | None = None,
     ) -> None:
-        self._records: Dict[str, FunctionRecord] = {}
-        for record in records:
-            if record.function_id in self._records:
-                raise ValueError(f"duplicate function id: {record.function_id}")
-            self._records[record.function_id] = record
-
-        self._counts: Dict[str, np.ndarray] = {}
+        record_map = _record_map(records)
+        given: Dict[str, np.ndarray] = {}
         duration = None
         for function_id, series in counts.items():
-            if function_id not in self._records:
+            if function_id not in record_map:
                 raise KeyError(f"counts provided for unknown function: {function_id}")
             array = np.asarray(series, dtype=np.int64)
             if array.ndim != 1:
@@ -173,27 +181,54 @@ class Trace:
                 duration = array.shape[0]
             elif array.shape[0] != duration:
                 raise ValueError("all invocation series must have the same length")
-            self._counts[function_id] = array
-
-        missing = set(self._records) - set(self._counts)
-        if missing and duration is None:
-            raise ValueError("cannot infer trace duration: no invocation series given")
-        for function_id in missing:
-            self._counts[function_id] = np.zeros(duration, dtype=np.int64)
-
+            given[function_id] = array
         if duration is None:
-            raise ValueError("a trace must contain at least one function")
+            raise ValueError(
+                "cannot infer trace duration: no invocation series given"
+                if record_map
+                else "a trace must contain at least one function"
+            )
 
+        rows = [given.get(fid, np.zeros(0, dtype=np.int64)) for fid in record_map]
+        minutes = [np.flatnonzero(row) for row in rows]
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([row.size for row in minutes], out=indptr[1:])
+        self._adopt(
+            record_map, indptr, np.concatenate(minutes),
+            np.concatenate([row[nonzero] for row, nonzero in zip(rows, minutes)]),
+            duration, metadata, sparse_digest=False,
+        )
+
+    def _adopt(
+        self,
+        records: Dict[str, FunctionRecord],
+        fn_indptr: np.ndarray,
+        fn_minutes: np.ndarray,
+        fn_counts: np.ndarray,
+        duration: int,
+        metadata: TraceMetadata | None,
+        sparse_digest: bool,
+        tokens: _TokenSlot | None = None,
+    ) -> None:
+        """Take valid, C-contiguous ``int64`` CSR arrays as this trace's data."""
+        self._records = records
+        self._fn_indptr = fn_indptr
+        self._fn_minutes = fn_minutes
+        self._fn_counts = fn_counts
         self._duration = int(duration)
+        # Which digest fingerprint() computes: fixed by the constructor that
+        # built the data, kept by every slice, shard and pickle of it.
+        self._sparse_digest = sparse_digest
+        self._tokens = tokens or _TokenSlot()
+        self._index_of: Dict[str, int] | None = None
         self._invocation_index: InvocationIndex | None = None
+        self._tail_indexes: Dict[int, InvocationIndex] = {}
         self._fingerprint: str | None = None
         self.metadata = metadata or TraceMetadata(
             name="unnamed", duration_minutes=self._duration
         )
         if self.metadata.duration_minutes != self._duration:
-            raise ValueError(
-                "metadata.duration_minutes does not match the invocation series length"
-            )
+            raise ValueError("metadata.duration_minutes does not match the trace duration")
 
     # ------------------------------------------------------------------ #
     # Basic accessors
@@ -230,21 +265,45 @@ class Trace:
         """Return metadata for every function."""
         return list(self._records.values())
 
+    def _row(self, position: int) -> tuple[np.ndarray, np.ndarray]:
+        start, stop = self._fn_indptr[position], self._fn_indptr[position + 1]
+        return self._fn_minutes[start:stop], self._fn_counts[start:stop]
+
+    def _position_of(self, function_id: str) -> int:
+        if self._index_of is None:
+            self._index_of = {fid: i for i, fid in enumerate(self._records)}
+        return self._index_of[function_id]
+
+    def row(self, function_id: str) -> tuple[np.ndarray, np.ndarray]:
+        """``(minutes, counts)`` of ``function_id``'s invocations (read-only views).
+
+        Minutes are strictly increasing and counts positive: what a caller
+        that needs only the invoked minutes should read instead of
+        :meth:`series`.
+        """
+        row = self._row(self._position_of(function_id))
+        for view in row:
+            view.flags.writeable = False
+        return row
+
     def series(self, function_id: str) -> np.ndarray:
-        """Return the invocation-count series for ``function_id`` (read-only view)."""
-        view = self._counts[function_id].view()
-        view.flags.writeable = False
-        return view
+        """``function_id``'s dense invocation-count series (read-only, not cached)."""
+        minutes, counts = self._row(self._position_of(function_id))
+        series = np.zeros(self._duration, dtype=np.int64)
+        series[minutes] = counts
+        series.flags.writeable = False
+        return series
 
     def total_invocations(self, function_id: str | None = None) -> int:
         """Total invocation count for one function, or the whole trace."""
         if function_id is not None:
-            return int(self._counts[function_id].sum())
-        return int(sum(int(series.sum()) for series in self._counts.values()))
+            return int(self._row(self._position_of(function_id))[1].sum())
+        return int(self._fn_counts.sum())
 
     def invoked_function_ids(self) -> list[str]:
         """Ids of functions with at least one invocation in this trace."""
-        return [fid for fid, series in self._counts.items() if series.any()]
+        active = np.diff(self._fn_indptr) > 0
+        return [fid for position, fid in enumerate(self._records) if active[position]]
 
     # ------------------------------------------------------------------ #
     # Identity and vectorized access
@@ -254,23 +313,68 @@ class Trace:
 
         Used to key on-disk result caches: two traces with the same
         fingerprint produce identical simulation results for the same policy
-        and simulator settings.  The per-function metadata is included
-        because policies condition on it (application grouping, trigger
-        type); the trace-level metadata name is deliberately excluded so
-        renaming a slice does not invalidate cached results.
+        and simulator settings.  The trace-level metadata name is excluded so
+        renaming a slice does not invalidate cached results.  The constructor
+        that built the data picks the digest, and its slices, shards and
+        pickles keep it:
+
+        * dense counts (:class:`Trace`): each record's ids and trigger, then
+          its row densified to the full duration;
+        * CSR arrays (:class:`SparseTrace`): in a distinct ``sparse:`` domain,
+          every record's token, then the arrays themselves.  The tokens also
+          cover measured duration profiles and memory footprints, which feed
+          the event engine and MB-mode accounting, so two dataset loads
+          differing only in those joins never share cached results.  The
+          memory field is appended only when present, keeping digests of
+          memory-less traces unchanged.
+
+        The two domains never coincide, which keeps cached results
+        unambiguous about their source.
         """
         if self._fingerprint is None:
             digest = hashlib.sha256()
-            digest.update(str(self._duration).encode())
-            for function_id, series in self._counts.items():
-                record = self._records[function_id]
-                digest.update(
-                    f"{function_id}\x1f{record.app_id}\x1f{record.owner_id}"
-                    f"\x1f{record.trigger.value}\x1e".encode()
-                )
-                digest.update(series.tobytes())
+            if self._sparse_digest:
+                if self._tokens.data is None:
+                    self._tokens.data = self._record_tokens()
+                digest.update(f"sparse:{self._duration}".encode())
+                digest.update(self._tokens.data)
+                # The arrays are C-contiguous: hash them in place.
+                digest.update(memoryview(self._fn_indptr))
+                digest.update(memoryview(self._fn_minutes))
+                digest.update(memoryview(self._fn_counts))
+            else:
+                digest.update(str(self._duration).encode())
+                series = np.zeros(self._duration, dtype=np.int64)
+                for position, record in enumerate(self._records.values()):
+                    digest.update(
+                        f"{record.function_id}\x1f{record.app_id}\x1f{record.owner_id}"
+                        f"\x1f{record.trigger.value}\x1e".encode()
+                    )
+                    minutes, counts = self._row(position)
+                    series[minutes] = counts
+                    digest.update(memoryview(series))
+                    series[minutes] = 0
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
+
+    def _record_tokens(self) -> bytes:
+        """Every record's ``\\x1e``-terminated ``sparse:`` token, concatenated."""
+        tokens = []
+        for record in self._records.values():
+            duration = record.duration
+            measured = (
+                f"{duration.cold_start_ms!r}:{duration.execution_ms!r}"
+                if duration is not None
+                else "-"
+            )
+            token = (
+                f"{record.function_id}\x1f{record.app_id}\x1f{record.owner_id}"
+                f"\x1f{record.trigger.value}\x1f{measured}"
+            )
+            if record.memory_mb is not None:
+                token += f"\x1f{record.memory_mb!r}"
+            tokens.append(f"{token}\x1e")
+        return "".join(tokens).encode()
 
     def invocation_index(self, start: int = 0) -> InvocationIndex:
         """The cached :class:`InvocationIndex` of this trace, or of its tail.
@@ -288,49 +392,50 @@ class Trace:
             return self._invocation_index
         if not 0 < start <= self._duration:
             raise IndexError(f"start {start} outside trace of {self._duration} minutes")
-        tails = getattr(self, "_tail_indexes", None)
-        if tails is None:
-            tails = self._tail_indexes = {}
-        index = tails.get(start)
+        index = self._tail_indexes.get(start)
         if index is None:
-            index = tails[start] = self._minute_index(start)
+            index = self._tail_indexes[start] = self._minute_index(start)
         return index
 
     def _minute_index(self, start: int) -> InvocationIndex:
-        """Build the minute-major index over the minutes ``[start, duration)``."""
-        function_ids = tuple(self._counts)
-        chunks_minutes: list[np.ndarray] = []
-        chunks_findex: list[np.ndarray] = []
-        chunks_counts: list[np.ndarray] = []
-        for position, series in enumerate(self._counts.values()):
-            window = series[start:]
-            nonzero = np.flatnonzero(window)
-            if nonzero.size == 0:
-                continue
-            chunks_minutes.append(nonzero)
-            chunks_findex.append(np.full(nonzero.size, position, dtype=np.int64))
-            chunks_counts.append(window[nonzero])
-        if chunks_minutes:
-            minutes = np.concatenate(chunks_minutes)
-            findex = np.concatenate(chunks_findex)
-            counts = np.concatenate(chunks_counts)
-            # Stable sort keeps function insertion order within a minute,
-            # matching the dict order produced by iter_minutes().
-            order = _minute_order(minutes, self._duration)
-            minutes, findex, counts = minutes[order], findex[order], counts[order]
+        """Transpose the function-major CSR into the minute-major index.
+
+        The stable sort by minute keeps the function-major order within each
+        minute, so every index numbers functions in record order.  A tail
+        index (``start > 0``) sorts only the entries inside the tail.
+        """
+        function_ids = tuple(self._records)
+        minutes, counts = self._fn_minutes, self._fn_counts
+        if start:
+            # Only the tail's entries get a function index: locate each
+            # kept entry's row instead of expanding every row.
+            kept = np.flatnonzero(minutes >= start)
+            findex = np.searchsorted(self._fn_indptr, kept, side="right") - 1
+            minutes, counts = minutes[kept] - start, counts[kept]
         else:
-            minutes = np.zeros(0, dtype=np.int64)
-            findex = np.zeros(0, dtype=np.int64)
-            counts = np.zeros(0, dtype=np.int64)
-        return _csr_index(function_ids, minutes, findex, counts, self._duration - start)
+            findex = np.repeat(
+                np.arange(len(function_ids), dtype=np.int64), np.diff(self._fn_indptr)
+            )
+        order = _minute_order(minutes, self._duration)
+        duration = self._duration - start
+        indptr = np.zeros(duration + 1, dtype=np.int64)
+        np.cumsum(np.bincount(minutes, minlength=duration), out=indptr[1:])
+        return InvocationIndex(
+            function_ids=function_ids,
+            index_of={fid: i for i, fid in enumerate(function_ids)},
+            indptr=indptr,
+            indices=findex[order],
+            counts=counts[order],
+        )
 
     def __getstate__(self) -> Dict[str, object]:
-        # The invocation indexes are cheap to rebuild and can triple the
-        # pickle size; drop them so traces shipped to worker processes stay
-        # lean.
+        # The indexes, the id -> position map and the fingerprint tokens are
+        # cheap to rebuild and can triple the pickle size; drop them so
+        # traces shipped to worker processes stay lean.
         state = dict(self.__dict__)
-        state["_invocation_index"] = None
-        state.pop("_tail_indexes", None)
+        state.update(
+            _invocation_index=None, _tail_indexes={}, _index_of=None, _tokens=_TokenSlot()
+        )
         return state
 
     # ------------------------------------------------------------------ #
@@ -358,8 +463,17 @@ class Trace:
         return groups
 
     # ------------------------------------------------------------------ #
-    # Slicing
+    # Slicing and sharding
     # ------------------------------------------------------------------ #
+    def _part(self, name: str, duration: int) -> TraceMetadata:
+        """Metadata of a slice or shard: this trace's, renamed and resized."""
+        return TraceMetadata(
+            name=name,
+            duration_minutes=duration,
+            seed=self.metadata.seed,
+            extra=dict(self.metadata.extra),
+        )
+
     def slice(self, start: int, stop: int, name: str | None = None) -> "Trace":
         """Return a new trace restricted to minutes ``[start, stop)``.
 
@@ -369,22 +483,35 @@ class Trace:
         """
         if not 0 <= start < stop <= self._duration:
             raise ValueError(f"invalid slice [{start}, {stop}) for {self._duration} minutes")
-        sliced = {fid: series[start:stop].copy() for fid, series in self._counts.items()}
-        metadata = TraceMetadata(
-            name=name or f"{self.metadata.name}[{start}:{stop}]",
-            duration_minutes=stop - start,
-            seed=self.metadata.seed,
-            extra=dict(self.metadata.extra),
+        keep = (self._fn_minutes >= start) & (self._fn_minutes < stop)
+        # Row i's kept entries start at the number kept before fn_indptr[i].
+        indptr = np.concatenate(([0], np.cumsum(keep)))[self._fn_indptr]
+        sliced = object.__new__(type(self))
+        sliced._adopt(
+            dict(self._records), indptr, self._fn_minutes[keep] - start,
+            self._fn_counts[keep], stop - start,
+            self._part(name or f"{self.metadata.name}[{start}:{stop}]", stop - start),
+            self._sparse_digest, self._tokens,
         )
-        return Trace(self.records(), sliced, metadata)
+        return sliced
 
-    def _checked_shard_positions(self, positions: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Validate a function-position subset for :meth:`shard`.
+    def shard(self, positions: Sequence[int] | np.ndarray, name: str | None = None) -> "Trace":
+        """Return the sub-trace holding only the functions at ``positions``.
+
+        The complement of :meth:`slice`: same minute range, a subset of the
+        function population by record-order position.  Used by the sharded
+        execution mode to hand each partition its own trace.  A row gather
+        of the CSR layout: sharding an 83k-function trace costs one
+        ``np.repeat`` over the kept entries.
 
         Positions must be strictly increasing: a shard preserves the parent's
-        function insertion order, which is what keeps within-minute invocation
-        order — and therefore every order-sensitive tie-break downstream —
-        identical to the unsharded run restricted to the shard.
+        function order, which is what keeps within-minute invocation order —
+        and therefore every order-sensitive tie-break downstream — identical
+        to the unsharded run restricted to the shard.  Cached invocation and
+        tail indexes come along, restricted to the shard, so a shard of an
+        indexed trace never sorts: restriction drops the other functions'
+        entries and renumbers the kept ones in order, which equals a fresh
+        build over the shard.
         """
         selected = np.asarray(positions, dtype=np.int64)
         if selected.ndim != 1 or selected.size == 0:
@@ -395,57 +522,31 @@ class Trace:
             )
         if selected.size > 1 and (np.diff(selected) <= 0).any():
             raise ValueError("shard positions must be strictly increasing")
-        return selected
 
-    def shard(self, positions: Sequence[int] | np.ndarray, name: str | None = None) -> "Trace":
-        """Return the sub-trace holding only the functions at ``positions``.
-
-        The complement of :meth:`slice`: same minute range, a subset of the
-        function population (by insertion-order position, strictly
-        increasing).  Used by the sharded execution mode to hand each
-        partition its own trace without densifying or copying the rest.
-        Cached invocation and tail indexes come along, restricted to the
-        shard, so a shard of an indexed trace never sorts.
-        """
-        selected = self._checked_shard_positions(positions)
-        all_ids = list(self._records)
-        kept = {all_ids[p]: self._counts[all_ids[p]] for p in selected.tolist()}
-        metadata = TraceMetadata(
-            name=name or f"{self.metadata.name}/shard{selected.size}",
-            duration_minutes=self._duration,
-            seed=self.metadata.seed,
-            extra=dict(self.metadata.extra),
+        starts = self._fn_indptr[selected]
+        lengths = self._fn_indptr[selected + 1] - starts
+        indptr = np.zeros(selected.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        take = np.repeat(starts - indptr[:-1], lengths) + np.arange(
+            int(indptr[-1]), dtype=np.int64
         )
-        return self._carry_indexes(
-            Trace([self._records[fid] for fid in kept], kept, metadata), selected
+        ids = list(self._records)
+        records = {ids[p]: self._records[ids[p]] for p in selected.tolist()}
+        shard = object.__new__(type(self))
+        shard._adopt(
+            records, indptr, self._fn_minutes[take], self._fn_counts[take],
+            self._duration,
+            self._part(name or f"{self.metadata.name}/shard{selected.size}", self._duration),
+            self._sparse_digest,
         )
 
-    def _carry_indexes(self, shard: "Trace", selected: np.ndarray) -> "Trace":
-        """Give ``shard`` this trace's cached indexes, restricted to ``selected``.
-
-        Restriction drops the other functions' entries and renumbers the
-        kept ones in order, so it equals a fresh build over the shard
-        without its sort.  That holds only for an index numbered in record
-        order, the order the shard builds in: a dense trace whose counts
-        mapping came in another order, or lacked some functions, numbers
-        its index differently, and its shards build their own.
-        """
-        cached = dict(getattr(self, "_tail_indexes", {}))
+        cached = dict(self._tail_indexes)
         if self._invocation_index is not None:
             cached[0] = self._invocation_index
-        record_ids = tuple(self._records)
-        cached = {
-            start: index
-            for start, index in cached.items()
-            if index.function_ids == record_ids
-        }
-        if not cached:
-            return shard
         remap = np.full(len(self._records), -1, dtype=np.int64)
         remap[selected] = np.arange(selected.size, dtype=np.int64)
-        function_ids = tuple(shard._records)
+        function_ids = tuple(records)
         index_of = {fid: i for i, fid in enumerate(function_ids)}
-        shard._tail_indexes = {}
         for start, index in cached.items():
             restricted = InvocationIndex(function_ids, index_of, *remap_csr(index, remap))
             if start:
@@ -455,47 +556,16 @@ class Trace:
         return shard
 
 
-class _TokenSlot:
-    """A lazily filled slot for the per-record fingerprint tokens.
-
-    The time slices of one sparse trace keep its records in order, so they
-    share one slot and the tokens are encoded once for all of them.
-    """
-
-    __slots__ = ("data",)
-
-    def __init__(self) -> None:
-        self.data: bytes | None = None
-
-
 class SparseTrace(Trace):
-    """A :class:`Trace` stored function-major sparse instead of dense.
-
-    The dense container keeps one ``int64`` array per function covering every
-    minute — perfect for the synthetic populations (hundreds of functions),
-    impossible for the real Azure 2019 dataset, where 83k functions over 14
-    days would be a ~13 GB dense matrix even though well under 2% of its
-    entries are non-zero.  ``SparseTrace`` stores the same matrix as one CSR
-    layout compressed along the *function* axis:
+    """A :class:`Trace` adopted from function-major CSR arrays.
 
     ``fn_minutes[fn_indptr[i]:fn_indptr[i + 1]]`` are the minutes at which
-    function ``i`` (in record insertion order) is invoked, strictly
-    increasing, and ``fn_counts`` holds the matching invocation counts.
-
-    Every :class:`Trace` consumer works unchanged: ``series()`` densifies one
-    function on demand (one array, not the whole matrix),
-    :meth:`invocation_index` transposes the CSR layout to the minute-major
-    index the engines run on — with the same within-minute function order as
-    the dense build, so simulation fingerprints cannot depend on which
-    container carried the workload — and :meth:`slice`/:func:`split_trace`
-    stay sparse end to end.
-
-    The content :meth:`fingerprint` is computed from the sparse arrays
-    directly (hashing 13 GB of implicit zeros would defeat the point) and
-    additionally covers each record's measured duration profile, so sweep
-    cache keys change when the dataset's duration files do.  It lives in a
-    distinct ``sparse:`` domain: a sparse and a dense trace never share a
-    fingerprint, which keeps cached results unambiguous about their source.
+    function ``i`` (in record order) is invoked, strictly increasing, and
+    ``fn_counts`` holds the matching, positive invocation counts.  The arrays
+    are validated and then kept as they are: this is how a population no
+    dense matrix could hold, such as the Azure 2019 dataset, becomes a trace.
+    The trace, its slices and its shards keep the ``sparse:`` digest of
+    :meth:`Trace.fingerprint`.
     """
 
     def __init__(
@@ -507,18 +577,13 @@ class SparseTrace(Trace):
         duration: int,
         metadata: TraceMetadata | None = None,
     ) -> None:
-        self._records = {}
-        for record in records:
-            if record.function_id in self._records:
-                raise ValueError(f"duplicate function id: {record.function_id}")
-            self._records[record.function_id] = record
-        if not self._records:
+        record_map = _record_map(records)
+        if not record_map:
             raise ValueError("a trace must contain at least one function")
-
         fn_indptr = np.ascontiguousarray(fn_indptr, dtype=np.int64)
         fn_minutes = np.ascontiguousarray(fn_minutes, dtype=np.int64)
         fn_counts = np.ascontiguousarray(fn_counts, dtype=np.int64)
-        if fn_indptr.shape != (len(self._records) + 1,):
+        if fn_indptr.shape != (len(record_map) + 1,):
             raise ValueError("fn_indptr must have one entry per function plus one")
         if fn_indptr[0] != 0 or (np.diff(fn_indptr) < 0).any():
             raise ValueError("fn_indptr must be non-decreasing and start at 0")
@@ -542,232 +607,10 @@ class SparseTrace(Trace):
             boundaries[interior[(interior > 0) & (interior < fn_minutes.size)] - 1] = True
             if (jumps & ~boundaries).any():
                 raise ValueError("fn_minutes must be strictly increasing per function")
-
-        self._fn_indptr = fn_indptr
-        self._fn_minutes = fn_minutes
-        self._fn_counts = fn_counts
-        self._duration = int(duration)
-        self._invocation_index: InvocationIndex | None = None
-        self._fingerprint: str | None = None
-        self._tokens = _TokenSlot()
-        self.metadata = metadata or TraceMetadata(
-            name="unnamed", duration_minutes=self._duration
+        self._adopt(
+            record_map, fn_indptr, fn_minutes, fn_counts, duration, metadata,
+            sparse_digest=True,
         )
-        if self.metadata.duration_minutes != self._duration:
-            raise ValueError(
-                "metadata.duration_minutes does not match the declared duration"
-            )
-
-    # ------------------------------------------------------------------ #
-    # Construction helpers
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_dense(cls, trace: Trace) -> "SparseTrace":
-        """Compress a dense :class:`Trace` (mostly useful in tests)."""
-        records = trace.records()
-        chunks_minutes: list[np.ndarray] = []
-        chunks_counts: list[np.ndarray] = []
-        lengths = np.zeros(len(records), dtype=np.int64)
-        for position, record in enumerate(records):
-            series = trace.series(record.function_id)
-            nonzero = np.flatnonzero(series)
-            lengths[position] = nonzero.size
-            if nonzero.size:
-                chunks_minutes.append(nonzero)
-                chunks_counts.append(series[nonzero])
-        indptr = np.zeros(len(records) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        minutes = (
-            np.concatenate(chunks_minutes) if chunks_minutes else np.zeros(0, np.int64)
-        )
-        counts = (
-            np.concatenate(chunks_counts) if chunks_counts else np.zeros(0, np.int64)
-        )
-        return cls(
-            records, indptr, minutes, counts, trace.duration_minutes, trace.metadata
-        )
-
-    def densify(self) -> Trace:
-        """The equivalent dense :class:`Trace` (small populations only)."""
-        counts = {fid: np.array(self.series(fid)) for fid in self._records}
-        return Trace(self.records(), counts, self.metadata)
-
-    def _row(self, position: int) -> tuple[np.ndarray, np.ndarray]:
-        start, stop = self._fn_indptr[position], self._fn_indptr[position + 1]
-        return self._fn_minutes[start:stop], self._fn_counts[start:stop]
-
-    def _position_of(self, function_id: str) -> int:
-        cached = getattr(self, "_index_of", None)
-        if cached is None:
-            cached = {fid: i for i, fid in enumerate(self._records)}
-            self._index_of = cached
-        return cached[function_id]
-
-    # ------------------------------------------------------------------ #
-    # Overridden dense-storage accessors
-    # ------------------------------------------------------------------ #
-    def series(self, function_id: str) -> np.ndarray:
-        """Densify one function's series on demand (not cached)."""
-        minutes, counts = self._row(self._position_of(function_id))
-        series = np.zeros(self._duration, dtype=np.int64)
-        series[minutes] = counts
-        series.flags.writeable = False
-        return series
-
-    def total_invocations(self, function_id: str | None = None) -> int:
-        if function_id is not None:
-            _, counts = self._row(self._position_of(function_id))
-            return int(counts.sum())
-        return int(self._fn_counts.sum())
-
-    def invoked_function_ids(self) -> list[str]:
-        active = np.diff(self._fn_indptr) > 0
-        return [fid for position, fid in enumerate(self._records) if active[position]]
-
-    def fingerprint(self) -> str:
-        """Content hash over the sparse layout and per-function metadata.
-
-        Unlike the dense fingerprint this also covers measured duration
-        profiles and memory footprints: the real dataset's duration files
-        feed the event engine and its ``app_memory_percentiles`` files feed
-        MB-mode accounting, so two loads differing only in those joins must
-        not share cached simulation results.  The memory field is appended
-        only when present, keeping fingerprints of memory-less traces
-        byte-identical to earlier releases.
-        """
-        if self._fingerprint is None:
-            if self._tokens.data is None:
-                self._tokens.data = self._record_tokens()
-            digest = hashlib.sha256()
-            digest.update(f"sparse:{self._duration}".encode())
-            digest.update(self._tokens.data)
-            # The arrays are C-contiguous (see __init__): hash them in place.
-            digest.update(memoryview(self._fn_indptr))
-            digest.update(memoryview(self._fn_minutes))
-            digest.update(memoryview(self._fn_counts))
-            self._fingerprint = digest.hexdigest()
-        return self._fingerprint
-
-    def _record_tokens(self) -> bytes:
-        """Every record's ``\\x1e``-terminated fingerprint token, concatenated."""
-        tokens = []
-        for record in self._records.values():
-            duration = record.duration
-            measured = (
-                f"{duration.cold_start_ms!r}:{duration.execution_ms!r}"
-                if duration is not None
-                else "-"
-            )
-            token = (
-                f"{record.function_id}\x1f{record.app_id}\x1f{record.owner_id}"
-                f"\x1f{record.trigger.value}\x1f{measured}"
-            )
-            if record.memory_mb is not None:
-                token += f"\x1f{record.memory_mb!r}"
-            tokens.append(f"{token}\x1e")
-        return "".join(tokens).encode()
-
-    def _minute_index(self, start: int) -> InvocationIndex:
-        """Transpose the function-major CSR into the minute-major index.
-
-        The stable sort by minute preserves the function-major input order
-        within each minute — i.e. function insertion order, exactly the
-        order the dense build produces — so engines see identical per-minute
-        function sequences whichever container loaded the trace.  A tail
-        index (``start > 0``) sorts only the entries inside the tail.
-        """
-        function_ids = tuple(self._records)
-        minutes, counts = self._fn_minutes, self._fn_counts
-        if start:
-            # Only the tail's entries get a function index: locate each
-            # kept entry's row instead of expanding every row.
-            kept = np.flatnonzero(minutes >= start)
-            findex = np.searchsorted(self._fn_indptr, kept, side="right") - 1
-            minutes, counts = minutes[kept] - start, counts[kept]
-        else:
-            findex = np.repeat(
-                np.arange(len(function_ids), dtype=np.int64), np.diff(self._fn_indptr)
-            )
-        order = _minute_order(minutes, self._duration)
-        return _csr_index(
-            function_ids, minutes[order], findex[order], counts[order],
-            self._duration - start,
-        )
-
-    def slice(self, start: int, stop: int, name: str | None = None) -> "SparseTrace":
-        """Return the sparse sub-trace over minutes ``[start, stop)``."""
-        if not 0 <= start < stop <= self._duration:
-            raise ValueError(f"invalid slice [{start}, {stop}) for {self._duration} minutes")
-        keep = (self._fn_minutes >= start) & (self._fn_minutes < stop)
-        findex = np.repeat(
-            np.arange(len(self._records), dtype=np.int64), np.diff(self._fn_indptr)
-        )[keep]
-        indptr = np.zeros(len(self._records) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(findex, minlength=len(self._records)), out=indptr[1:])
-        metadata = TraceMetadata(
-            name=name or f"{self.metadata.name}[{start}:{stop}]",
-            duration_minutes=stop - start,
-            seed=self.metadata.seed,
-            extra=dict(self.metadata.extra),
-        )
-        sliced = SparseTrace(
-            self.records(),
-            indptr,
-            self._fn_minutes[keep] - start,
-            self._fn_counts[keep],
-            stop - start,
-            metadata,
-        )
-        sliced._tokens = self._tokens
-        return sliced
-
-    def shard(
-        self, positions: Sequence[int] | np.ndarray, name: str | None = None
-    ) -> "SparseTrace":
-        """CSR row-gather of the functions at ``positions`` — never densifies.
-
-        A pure row slice of the function-major layout: the selected rows'
-        ``(minutes, counts)`` runs are gathered into a fresh CSR with a
-        reindexed ``fn_indptr``, so sharding an 83k-function trace costs one
-        ``np.repeat`` over the kept entries, independent of the population
-        left behind.  Positions must be strictly increasing (see
-        :meth:`Trace.shard` for why order preservation matters).
-        """
-        selected = self._checked_shard_positions(positions)
-        starts = self._fn_indptr[selected]
-        lengths = self._fn_indptr[selected + 1] - starts
-        indptr = np.zeros(selected.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        total = int(indptr[-1])
-        take = (
-            np.repeat(starts - indptr[:-1], lengths)
-            + np.arange(total, dtype=np.int64)
-        )
-        all_records = self.records()
-        records = [all_records[p] for p in selected.tolist()]
-        metadata = TraceMetadata(
-            name=name or f"{self.metadata.name}/shard{selected.size}",
-            duration_minutes=self._duration,
-            seed=self.metadata.seed,
-            extra=dict(self.metadata.extra),
-        )
-        shard = SparseTrace(
-            records,
-            indptr,
-            self._fn_minutes[take],
-            self._fn_counts[take],
-            self._duration,
-            metadata,
-        )
-        return self._carry_indexes(shard, selected)
-
-    def __getstate__(self) -> Dict[str, object]:
-        state = super().__getstate__()
-        # The id -> position map and the fingerprint tokens rebuild lazily;
-        # keep worker pickles lean.
-        state.pop("_index_of", None)
-        state["_tokens"] = _TokenSlot()
-        return state
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from dict_policies import (
     DictLcsPolicy,
     DictSpesPolicy,
 )
+from trace_builders import csr_built
 
 from repro.core import SpesConfig
 from repro.experiments import ExperimentConfig, default_policy_specs
@@ -28,7 +29,6 @@ from repro.simulation.results import SimulationResult
 from repro.traces import (
     AzureTraceGenerator,
     GeneratorProfile,
-    SparseTrace,
     Trace,
     split_trace,
 )
@@ -307,8 +307,8 @@ class TestParallelRunner:
     def test_one_cell_agrees_whoever_built_the_index(self, prebuilt, layout):
         """Pool-sharded, serial-sharded and unsharded runs of one cell agree,
         whether or not the split arrives with its indexes already built.
-        ``dense-reordered`` passes the counts in reverse record order, so
-        its index is numbered apart from its records."""
+        ``dense-reordered`` passes the counts in reverse record order; the
+        trace still numbers its rows, and so its index, in record order."""
 
         def fresh_split():
             trace = AzureTraceGenerator(
@@ -317,7 +317,7 @@ class TestParallelRunner:
                 )
             ).generate()
             if layout == "sparse":
-                trace = SparseTrace.from_dense(trace)
+                trace = csr_built(trace)
             elif layout == "dense-reordered":
                 ids = [record.function_id for record in trace.records()]
                 trace = Trace(

@@ -22,6 +22,7 @@ from harness import (
     random_split,
 )
 from dict_policies import DictFixedKeepAlivePolicy
+from trace_builders import csr_built
 from repro.baselines import FixedKeepAlivePolicy
 from repro.core import SpesPolicy
 from repro.simulation import (
@@ -96,7 +97,7 @@ class TestTraceShard:
 
     def test_sparse_shard_matches_dense_shard(self, workload):
         dense = workload.simulation
-        sparse = SparseTrace.from_dense(dense)
+        sparse = csr_built(dense)
         positions = np.arange(1, len(dense.function_ids), 3)
         a, b = dense.shard(positions), sparse.shard(positions)
         assert isinstance(b, SparseTrace)
@@ -107,7 +108,7 @@ class TestTraceShard:
         np.testing.assert_array_equal(ia.counts, ib.counts)
 
     def test_shard_union_preserves_every_invocation(self, workload):
-        trace = SparseTrace.from_dense(workload.simulation)
+        trace = csr_built(workload.simulation)
         n = len(trace.function_ids)
         assignment = shard_assignment(3, trace, "hash")
         total = sum(
@@ -126,7 +127,7 @@ class TestTraceShard:
     def test_invalid_positions_rejected(self, workload, sparse):
         trace = workload.simulation
         if sparse:
-            trace = SparseTrace.from_dense(trace)
+            trace = csr_built(trace)
         n = len(trace.function_ids)
         with pytest.raises(ValueError):
             trace.shard(np.array([], dtype=np.int64))

@@ -17,6 +17,7 @@ import pytest
 from degenerate_reference import DictAlwaysWarmPolicy, DictNoKeepAlivePolicy
 from harness import simulate_column
 from reference_engine import ORACLE
+from trace_builders import csr_built
 from warmup_reference import reference_warm_up, reference_warm_up_installed
 
 from repro.experiments.parallel import POLICY_REGISTRY
@@ -33,7 +34,6 @@ from repro.traces import (
     AzureTraceGenerator,
     FunctionRecord,
     GeneratorProfile,
-    SparseTrace,
     Trace,
     TraceSplit,
     split_trace,
@@ -69,8 +69,8 @@ WARMUPS = (1, 120, 1440, 3000)
 
 def _sparse(split: TraceSplit) -> TraceSplit:
     return TraceSplit(
-        training=SparseTrace.from_dense(split.training),
-        simulation=SparseTrace.from_dense(split.simulation),
+        training=csr_built(split.training),
+        simulation=csr_built(split.simulation),
     )
 
 

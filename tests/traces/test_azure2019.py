@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_engine import invocations_at, iter_minutes
+from trace_builders import csr_built, dense_built
 from repro.traces import (
     Azure2019Config,
     Azure2019Dataset,
@@ -639,8 +640,8 @@ class TestIngestion:
         sparse = load_azure2019(
             tmp_path, cache_dir=None, days=(1, 2), join_durations=False
         )
-        dense = sparse.densify()
-        assert isinstance(dense, Trace) and not isinstance(dense, SparseTrace)
+        dense = dense_built(sparse)
+        assert type(dense) is Trace
         assert sparse.function_ids == dense.function_ids
         sparse_index = sparse.invocation_index()
         dense_index = dense.invocation_index()
@@ -945,17 +946,18 @@ class TestSparseTrace:
         }
         return Trace(records, counts, TraceMetadata(name="t", duration_minutes=6))
 
-    def test_round_trips_through_densify(self):
+    def test_round_trips_through_both_constructors(self):
         dense = self._dense()
-        sparse = SparseTrace.from_dense(dense)
-        rebuilt = sparse.densify()
+        sparse = csr_built(dense)
+        rebuilt = dense_built(sparse)
         assert rebuilt.function_ids == dense.function_ids
+        assert rebuilt.fingerprint() == dense.fingerprint()
         for fid in dense.function_ids:
             np.testing.assert_array_equal(rebuilt.series(fid), dense.series(fid))
 
     def test_matches_dense_accessors(self):
         dense = self._dense()
-        sparse = SparseTrace.from_dense(dense)
+        sparse = csr_built(dense)
         assert sparse.total_invocations() == dense.total_invocations()
         assert sparse.total_invocations("f1") == 6
         assert sparse.invoked_function_ids() == dense.invoked_function_ids()
@@ -964,7 +966,7 @@ class TestSparseTrace:
 
     def test_invocation_index_is_identical_to_dense(self):
         dense = self._dense()
-        sparse = SparseTrace.from_dense(dense)
+        sparse = csr_built(dense)
         a, b = dense.invocation_index(), sparse.invocation_index()
         np.testing.assert_array_equal(a.indptr, b.indptr)
         np.testing.assert_array_equal(a.indices, b.indices)
@@ -972,14 +974,14 @@ class TestSparseTrace:
 
     def test_slice_stays_sparse_and_matches_dense(self):
         dense = self._dense()
-        sparse = SparseTrace.from_dense(dense)
+        sparse = csr_built(dense)
         a, b = dense.slice(1, 5), sparse.slice(1, 5)
         assert isinstance(b, SparseTrace)
         for fid in dense.function_ids:
             np.testing.assert_array_equal(a.series(fid), b.series(fid))
 
     def test_split_trace_works_unchanged(self):
-        sparse = SparseTrace.from_dense(self._dense())
+        sparse = csr_built(self._dense())
         split = split_trace(sparse, training_days=3 / MINUTES_PER_DAY)
         assert split.training.duration_minutes == 3
         assert split.simulation.duration_minutes == 3
@@ -987,16 +989,16 @@ class TestSparseTrace:
 
     def test_fingerprint_lives_in_its_own_domain(self):
         dense = self._dense()
-        sparse = SparseTrace.from_dense(dense)
+        sparse = csr_built(dense)
         assert sparse.fingerprint() != dense.fingerprint()
-        assert sparse.fingerprint() == SparseTrace.from_dense(dense).fingerprint()
+        assert sparse.fingerprint() == csr_built(dense).fingerprint()
 
     def test_fingerprint_covers_measured_durations(self, tmp_path):
         from dataclasses import replace
 
         from repro.traces.schema import DurationProfile
 
-        sparse = SparseTrace.from_dense(self._dense())
+        sparse = csr_built(self._dense())
         records = [
             replace(record, duration=DurationProfile(100.0, 10.0))
             if record.function_id == "f1"
@@ -1014,12 +1016,12 @@ class TestSparseTrace:
         assert relabeled.fingerprint() != sparse.fingerprint()
 
     def test_series_is_read_only(self):
-        sparse = SparseTrace.from_dense(self._dense())
+        sparse = csr_built(self._dense())
         with pytest.raises(ValueError):
             sparse.series("f1")[0] = 99
 
     def test_pickle_round_trip(self):
-        sparse = SparseTrace.from_dense(self._dense())
+        sparse = csr_built(self._dense())
         clone = pickle.loads(pickle.dumps(sparse))
         assert clone.fingerprint() == sparse.fingerprint()
         np.testing.assert_array_equal(clone.series("f1"), sparse.series("f1"))

@@ -1,9 +1,9 @@
 """Shards carry their parent's cached invocation indexes by restriction.
 
-``Trace.shard``/``SparseTrace.shard`` hand a shard the parent's cached
-invocation index and tail indexes restricted to the kept functions instead
-of sorting its own.  The restriction must equal a fresh build over the
-shard, array for array, whichever container carried the trace.
+``Trace.shard`` hands a shard the parent's cached invocation index and
+tail indexes restricted to the kept functions instead of sorting its own.
+The restriction must equal a fresh build over the shard, array for array,
+whichever constructor built the trace.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_engine import invocations_at
-from repro.traces import FunctionRecord, SparseTrace, Trace
+from trace_builders import csr_built
+from repro.traces import FunctionRecord, Trace
 from repro.traces.schema import TraceMetadata
 
 
@@ -34,7 +35,7 @@ def sharded_traces(draw):
         )
     )
     # The counts mapping may come in any order and omit functions (they get
-    # zero series): a dense index is then numbered in counts order.
+    # zero series): the trace still numbers its rows in record order.
     order = draw(st.permutations(range(n_functions)))
     given = draw(st.integers(1, n_functions))
     records = [FunctionRecord(f"f{i}", f"a{i % 2}", "o") for i in range(n_functions)]
@@ -64,15 +65,14 @@ def assert_same_index(carried, fresh):
 def test_carried_indexes_equal_fresh_builds(case, sparse):
     trace, positions, start = case
     if sparse:
-        trace = SparseTrace.from_dense(trace)
-    in_record_order = trace.invocation_index().function_ids == tuple(trace._records)
+        trace = csr_built(trace)
+    assert trace.invocation_index().function_ids == tuple(trace.function_ids)
     trace.invocation_index(start)
     shard = trace.shard(positions)
-    # Carried, not rebuilt on first use, whenever the parent's index is
-    # numbered in record order; always so for a sparse trace.
-    assert in_record_order or not sparse
-    assert (shard._invocation_index is not None) == in_record_order
-    assert set(getattr(shard, "_tail_indexes", {})) == ({start} if in_record_order else set())
+    # Always carried, never rebuilt on first use: every index is numbered
+    # in record order.
+    assert shard._invocation_index is not None
+    assert set(shard._tail_indexes) == {start}
     assert_same_index(shard.invocation_index(), shard._minute_index(0))
     assert_same_index(shard.invocation_index(start), shard._minute_index(start))
 
@@ -82,21 +82,21 @@ def test_carried_indexes_equal_fresh_builds(case, sparse):
 def test_shard_of_unindexed_trace_builds_its_own(case, sparse):
     trace, positions, start = case
     if sparse:
-        trace = SparseTrace.from_dense(trace)
+        trace = csr_built(trace)
     shard = trace.shard(positions)
     assert shard._invocation_index is None
-    assert not getattr(shard, "_tail_indexes", {})
+    assert not shard._tail_indexes
     assert_same_index(shard.invocation_index(start), shard._minute_index(start))
 
 
-def test_shard_of_trace_indexed_in_counts_order_keeps_its_traffic():
+def test_shard_of_trace_built_from_partial_counts_keeps_its_traffic():
     records = [FunctionRecord(f"f{i}", "a", "o") for i in range(3)]
     trace = Trace(
         records,
         {"f0": [1, 0, 2], "f2": [0, 3, 0]},
         TraceMetadata(name="t", duration_minutes=3),
     )
-    assert trace.invocation_index().function_ids == ("f0", "f2", "f1")
+    assert trace.invocation_index().function_ids == ("f0", "f1", "f2")
     shard = trace.shard([1, 2])
     assert [invocations_at(shard, m) for m in range(3)] == [{}, {"f2": 3}, {}]
     index = shard.invocation_index()
@@ -108,7 +108,7 @@ def test_shard_of_trace_indexed_in_counts_order_keeps_its_traffic():
 def test_shard_keeps_fingerprint_of_a_fresh_cut():
     records = [FunctionRecord(f"f{i}", "a", "o") for i in range(4)]
     counts = {f"f{i}": [(i + m) % 3 for m in range(12)] for i in range(4)}
-    trace = SparseTrace.from_dense(
+    trace = csr_built(
         Trace(records, counts, TraceMetadata(name="t", duration_minutes=12))
     )
     cold = trace.shard([0, 2])

@@ -1,21 +1,27 @@
-"""``SparseTrace.fingerprint`` against the per-record loop it replaced.
+"""Both trace digests against the per-function loops they came from.
 
-The fingerprint encodes every record's token once and shares the bytes
-between the time slices cut from one trace, and it hashes the CSR arrays
-in place.  The digest must not change: cache keys and their pinned digests
-depend on it.  ``reference_fingerprint`` is the earlier loop, verbatim
-apart from reading the arrays through the trace's attributes.
+A trace adopted from CSR arrays keeps the ``sparse:`` digest: it encodes
+every record's token once, shares the bytes between the time slices cut
+from one trace, and hashes the CSR arrays in place.  A trace built from
+dense counts keeps the dense digest, now hashed from its CSR rows densified
+one at a time.  Neither digest may change: cache keys and their pinned
+digests depend on both.  ``reference_fingerprint`` is the earlier sparse
+loop, verbatim apart from reading the arrays through the trace's
+attributes; ``reference_dense_fingerprint`` is the earlier dense loop over
+a ``{function_id: series}`` mapping, fed here from the drawn matrix.
 """
 
 from __future__ import annotations
 
 import hashlib
 import pickle
+from typing import Mapping, Sequence
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trace_builders import csr_built, csr_trace
 from repro.traces import FunctionRecord, SparseTrace, Trace, TriggerType, split_trace
 from repro.traces.schema import DurationProfile, TraceMetadata
 
@@ -43,8 +49,25 @@ def reference_fingerprint(trace: SparseTrace) -> str:
     return digest.hexdigest()
 
 
+def reference_dense_fingerprint(
+    records: Sequence[FunctionRecord], counts: Mapping[str, np.ndarray], duration: int
+) -> str:
+    by_id = {record.function_id: record for record in records}
+    digest = hashlib.sha256()
+    digest.update(str(duration).encode())
+    for function_id, series in counts.items():
+        record = by_id[function_id]
+        digest.update(
+            f"{function_id}\x1f{record.app_id}\x1f{record.owner_id}"
+            f"\x1f{record.trigger.value}\x1e".encode()
+        )
+        digest.update(np.asarray(series, dtype=np.int64).tobytes())
+    return digest.hexdigest()
+
+
 @st.composite
-def sparse_traces(draw):
+def matrices(draw):
+    """Records with measured profiles, their count matrix and a split minute."""
     n_functions = draw(st.integers(1, 6))
     duration = draw(st.integers(2, 40))
     triggers = list(TriggerType)
@@ -75,19 +98,19 @@ def sparse_traces(draw):
             max_size=n_functions,
         )
     )
-    dense = Trace(
-        records,
-        {f"f{i}": row for i, row in enumerate(rows)},
-        TraceMetadata(name="t", duration_minutes=duration),
-    )
     boundary = draw(st.integers(1, duration - 1))
-    return SparseTrace.from_dense(dense), boundary
+    return records, np.asarray(rows, dtype=np.int64), boundary
+
+
+def _metadata(duration: int) -> TraceMetadata:
+    return TraceMetadata(name="t", duration_minutes=duration)
 
 
 @settings(max_examples=120, deadline=None)
-@given(case=sparse_traces())
+@given(case=matrices())
 def test_fingerprint_matches_the_reference_loop(case):
-    trace, boundary = case
+    records, matrix, boundary = case
+    trace = csr_trace(records, matrix, _metadata(matrix.shape[1]))
     assert trace.fingerprint() == reference_fingerprint(trace)
     split = split_trace(trace, training_days=boundary / 1440)
     # The slices share one token slot: encoded by the first, reused by the second.
@@ -98,6 +121,31 @@ def test_fingerprint_matches_the_reference_loop(case):
     assert shard.fingerprint() == reference_fingerprint(shard)
 
 
+@settings(max_examples=120, deadline=None)
+@given(case=matrices())
+def test_dense_fingerprint_matches_the_reference_loop(case):
+    records, matrix, boundary = case
+    ids = [record.function_id for record in records]
+    duration = matrix.shape[1]
+    trace = Trace(records, dict(zip(ids, matrix)), _metadata(duration))
+    assert trace.fingerprint() == reference_dense_fingerprint(
+        records, dict(zip(ids, matrix)), duration
+    )
+    split = split_trace(trace, training_days=boundary / 1440)
+    for part, window in (
+        (split.training, matrix[:, :boundary]),
+        (split.simulation, matrix[:, boundary:]),
+    ):
+        assert part.fingerprint() == reference_dense_fingerprint(
+            records, dict(zip(ids, window)), window.shape[1]
+        )
+    positions = list(range(0, len(records), 2))
+    kept = [records[p] for p in positions]
+    assert trace.shard(positions).fingerprint() == reference_dense_fingerprint(
+        kept, {ids[p]: matrix[p] for p in positions}, duration
+    )
+
+
 def test_pickled_trace_drops_its_tokens_and_keeps_its_digest():
     records = [FunctionRecord(f"f{i}", "a", "o", memory_mb=128.0) for i in range(3)]
     dense = Trace(
@@ -105,7 +153,7 @@ def test_pickled_trace_drops_its_tokens_and_keeps_its_digest():
         {f"f{i}": [i, 0, 1, 2] for i in range(3)},
         TraceMetadata(name="t", duration_minutes=4),
     )
-    split = split_trace(SparseTrace.from_dense(dense), training_days=2 / 1440)
+    split = split_trace(csr_built(dense), training_days=2 / 1440)
     clone = pickle.loads(pickle.dumps(split.simulation))
     assert clone._tokens.data is None
     split.training.fingerprint()
