@@ -6,6 +6,10 @@ rate with candidates against its mean COR with negatively sampled functions
 that share neither an application nor an owner.  The paper reports a ~4.6x
 gap (0.2312 vs 0.0504) and a further gap between same-trigger and
 different-trigger candidates (0.2710 vs 0.1307).
+
+Both the study and :func:`correlated_groups` read each function's invoked
+minutes from :meth:`~repro.traces.trace.Trace.row` and measure COR with the
+kernel of :mod:`repro.core.correlation`; no row is densified.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import List
 
 import numpy as np
 
-from repro.core.correlation import co_occurrence_rate
+from repro.core.correlation import co_occurrence_rate, lagged_overlaps
 from repro.traces.trace import Trace
 
 
@@ -83,20 +87,8 @@ def correlated_groups(
         Minimum invoked minutes for a function to participate at all.
     """
     order = {fid: position for position, fid in enumerate(trace.function_ids)}
-    series_cache: dict[str, np.ndarray] = {}
-
-    def series(function_id: str) -> np.ndarray:
-        cached = series_cache.get(function_id)
-        if cached is None:
-            cached = np.asarray(trace.series(function_id))
-            series_cache[function_id] = cached
-        return cached
-
-    eligible = [
-        fid
-        for fid in trace.function_ids
-        if int((series(fid) > 0).sum()) >= min_invocations
-    ]
+    minutes = {fid: trace.row(fid)[0] for fid in trace.function_ids}
+    eligible = [fid for fid in trace.function_ids if minutes[fid].size >= min_invocations]
     eligible_set = set(eligible)
 
     # Union-find over candidate pairs that clear the COR bar.
@@ -127,15 +119,18 @@ def correlated_groups(
                 continue
             members.sort(key=order.__getitem__)
             for i, target_id in enumerate(members):
-                target_series = series(target_id)
+                target = minutes[target_id]
                 for candidate_id in members[i + 1 :]:
                     pair = (target_id, candidate_id)
                     if pair in seen_pairs or find(target_id) == find(candidate_id):
                         continue
                     seen_pairs.add(pair)
-                    forward = co_occurrence_rate(target_series, series(candidate_id))
-                    backward = co_occurrence_rate(series(candidate_id), target_series)
-                    if max(forward, backward) >= min_cor:
+                    # The larger of the two directions' CORs (overlap / |t|
+                    # and overlap / |c|) divides by the smaller row.
+                    candidate = minutes[candidate_id]
+                    overlap = int(lagged_overlaps(target, candidate, 0)[0])
+                    cor = overlap / min(target.size, candidate.size) if overlap else 0.0
+                    if cor >= min_cor:
                         union(target_id, candidate_id)
 
     components: dict[str, List[str]] = {}
@@ -204,9 +199,9 @@ def cooccurrence_study(
         if not candidates:
             continue
 
-        target_series = trace.series(target_id)
+        target = trace.row(target_id)[0]
         for candidate_id in candidates:
-            value = co_occurrence_rate(target_series, trace.series(candidate_id))
+            value = co_occurrence_rate(target, trace.row(candidate_id)[0])
             candidate_values.append(value)
             if records[candidate_id].trigger == target_record.trigger:
                 same_trigger_values.append(value)
@@ -220,7 +215,7 @@ def cooccurrence_study(
             sampled = rng.choice(unrelated_pool, size=sample_size, replace=False)
             for negative_id in sampled:
                 negative_values.append(
-                    co_occurrence_rate(target_series, trace.series(str(negative_id)))
+                    co_occurrence_rate(target, trace.row(str(negative_id))[0])
                 )
 
     def mean_or_zero(values: List[float]) -> float:

@@ -26,6 +26,7 @@ from typing import Dict, List, Mapping, Sequence
 import numpy as np
 
 from repro.baselines.hybrid import HybridFunctionPolicy
+from repro.core.correlation import window_hits
 from repro.simulation.vector_policy import NEVER_MINUTE
 from repro.traces.schema import FunctionRecord
 from repro.traces.trace import InvocationIndex, Trace
@@ -71,7 +72,6 @@ def mine_dependencies(
         considered at all.
     """
     dependencies: List[Dependency] = []
-    duration = training.duration_minutes
     for members in candidate_groups.values():
         members = [fid for fid in members if fid in training]
         if len(members) < 2:
@@ -84,29 +84,20 @@ def mine_dependencies(
         if not predecessors:
             continue
         # Every predecessor invocation at minute m opens the windows
-        # [m + 1, strong_end] and [m + 1, weak_end], ends clipped to the
-        # trace; a window whose end falls before its start is empty.  With
-        # an integer prefix sum `prefix` over a successor's invoked minutes,
-        # a window [a, b] holds an invocation iff prefix[b + 1] > prefix[a].
+        # [m + 1, m + strong_lag] and [m + 1, m + weak_lag]; the hits of all
+        # predecessors against one successor come from one window_hits call
+        # and are summed per predecessor segment.
         pred_minutes = np.concatenate([minutes[i] for i in predecessors])
-        starts = pred_minutes + 1
-        strong_stops = np.clip(pred_minutes + strong_lag, pred_minutes, duration - 1) + 1
-        weak_stops = np.clip(pred_minutes + weak_lag, pred_minutes, duration - 1) + 1
         sizes = [minutes[i].size for i in predecessors]
         segments = np.concatenate(([0], np.cumsum(sizes)[:-1]))
 
         strong_hits = np.zeros((len(predecessors), len(members)), dtype=np.int64)
         weak_hits = np.zeros_like(strong_hits)
-        prefix = np.zeros(duration + 1, dtype=np.int64)
         for j, succ_minutes in enumerate(minutes):
             if succ_minutes.size == 0:
                 continue
-            succ_mask = np.zeros(duration, dtype=bool)
-            succ_mask[succ_minutes] = True
-            np.cumsum(succ_mask, out=prefix[1:])
-            before = prefix[starts]
-            strong = prefix[strong_stops] > before
-            weak = strong | (prefix[weak_stops] > before)
+            strong = window_hits(pred_minutes, succ_minutes, 1, strong_lag)
+            weak = strong | window_hits(pred_minutes, succ_minutes, 1, weak_lag)
             strong_hits[:, j] = np.add.reduceat(strong, segments, dtype=np.int64)
             weak_hits[:, j] = np.add.reduceat(weak, segments, dtype=np.int64)
 

@@ -12,8 +12,9 @@ This package implements the paper's primary contribution:
 * :mod:`repro.core.categories` -- the function categories of Table I plus the
   supplementary assignments of §IV-B.
 * :mod:`repro.core.classifier` -- deterministic categorization (§IV-A).
-* :mod:`repro.core.correlation` -- co-occurrence rate (COR) and its T-lagged
-  variant (§III-B2, §IV-B2).
+* :mod:`repro.core.correlation` -- the co-occurrence kernel over sorted
+  minute arrays: T-lagged overlap counts and window hits, and the
+  co-occurrence rate (COR) built on them (§III-B2, §IV-B2).
 * :mod:`repro.core.predictive` -- per-category predictive values (§IV-D).
 * :mod:`repro.core.indeterminate` -- forgetting and the pulsed / correlated /
   possible assignment with validation (§IV-B).
@@ -31,7 +32,7 @@ from repro.core.config import SpesConfig
 from repro.core.sequences import InvocationSummary, extract_sequences
 from repro.core.predictive import PredictiveValues
 from repro.core.classifier import DeterministicClassifier
-from repro.core.correlation import co_occurrence_rate, lagged_co_occurrence_rate, best_lagged_cor
+from repro.core.correlation import best_lagged_cor, co_occurrence_rate
 from repro.core.offline import CategorizationResult, OfflineCategorizer
 from repro.core.policy import SpesPolicy
 
@@ -43,7 +44,6 @@ __all__ = [
     "PredictiveValues",
     "DeterministicClassifier",
     "co_occurrence_rate",
-    "lagged_co_occurrence_rate",
     "best_lagged_cor",
     "CategorizationResult",
     "OfflineCategorizer",

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.core.categories import FunctionCategory
+from repro.traces.schema import MINUTES_PER_DAY
 
 
 @dataclass
@@ -205,8 +206,8 @@ class SpesConfig:
             raise ValueError("possible_min_mode_count must be >= 2")
         if self.possible_range_threshold < 1:
             raise ValueError("possible_range_threshold must be >= 1")
-        if self.validation_days <= 0:
-            raise ValueError("validation_days must be positive")
+        if round(self.validation_days * MINUTES_PER_DAY) < 1:
+            raise ValueError("validation_days must cover at least one minute")
         if self.theta_prewarm < 0:
             raise ValueError("theta_prewarm must be non-negative")
         if self.theta_givenup_default < 1:

@@ -1,138 +1,86 @@
-"""Co-occurrence rate (COR) and its T-lagged variant (§III-B2, §IV-B2 D2).
+"""Co-occurrence kernel over sorted minute arrays (§III-B2, §IV-B2 D2).
 
-For a target function *f* and a candidate function *g*, the co-occurrence
-rate is the fraction of *f*'s invoked minutes at which *g* is also invoked.
-The T-lagged variant shifts the candidate's series forward by ``lag``
-minutes, measuring how well *g*'s invocations *anticipate* *f*'s: a high
-T-lagged COR makes *g* a useful predictive indicator for pre-warming *f*.
+Every co-occurrence question in the system -- SPES's T-lagged COR and link
+precision, Defuse's dependency windows, the §III-B2 study and the
+``correlation-aware`` placement groups -- asks whether one function fires
+within a few minutes of another.  Each reads the invoked minutes of a
+function, the ``minutes`` half of :meth:`~repro.traces.trace.Trace.row`:
+strictly increasing and below the trace duration, so a window never needs
+clipping to the trace end.  Two ``searchsorted`` primitives answer it:
+
+* :func:`lagged_overlaps` -- for every lag ``0..L`` at once, how many target
+  minutes ``t`` have a candidate minute at ``t - lag``;
+* :func:`window_hits` -- which fires ``m`` have a target minute in
+  ``[m + first, m + last]``.
+
+For a target function *f* and a candidate *g*, the co-occurrence rate (COR)
+is the fraction of *f*'s invoked minutes at which *g* is also invoked; the
+T-lagged COR shifts *g* forward by ``lag`` minutes, measuring how well *g*'s
+invocations *anticipate* *f*'s.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 
-def _as_bool_mask(series: Sequence[int] | np.ndarray) -> np.ndarray:
-    array = np.asarray(series)
-    if array.ndim != 1:
-        raise ValueError("invocation series must be one-dimensional")
-    return array > 0
+def lagged_overlaps(target: np.ndarray, candidate: np.ndarray, max_lag: int) -> np.ndarray:
+    """Overlap counts of ``target`` with ``candidate`` shifted by every lag ``0..max_lag``.
+
+    Entry ``k`` of the returned ``int64[max_lag + 1]`` counts the target
+    minutes ``t`` with ``t - k`` in ``candidate``.  Two ``searchsorted``
+    calls find each target minute's candidates in ``[t - max_lag, t]``; one
+    ``bincount`` of the differences counts every lag in one pass.
+    """
+    if max_lag < 0:
+        raise ValueError("max_lag must be non-negative")
+    target = np.asarray(target, dtype=np.int64)
+    candidate = np.asarray(candidate, dtype=np.int64)
+    lo = candidate.searchsorted(target - max_lag, "left")
+    counts = candidate.searchsorted(target, "right") - lo
+    # Target minute i's in-window candidates are candidate[lo[i]:lo[i] + counts[i]].
+    # Laid end to end with run i from flat position start_i, flat entry j
+    # reads candidate[j + lo[i] - start_i].
+    shift = (lo - (counts.cumsum() - counts)).repeat(counts)
+    lags = target.repeat(counts) - candidate[shift + np.arange(shift.size)]
+    return np.bincount(lags, minlength=max_lag + 1)
 
 
-def co_occurrence_rate(
-    target: Sequence[int] | np.ndarray,
-    candidate: Sequence[int] | np.ndarray,
-) -> float:
+def window_hits(fires: np.ndarray, target: np.ndarray, first: int, last: int) -> np.ndarray:
+    """Whether each fire ``m`` has a target minute in ``[m + first, m + last]``.
+
+    Returns ``bool[fires.size]``; an empty window (``last < first``) never
+    hits.  One ``searchsorted`` finds the first target minute at or after
+    ``m + first``; the fire hits when that minute exists and is at most
+    ``m + last``.
+    """
+    fires = np.asarray(fires, dtype=np.int64)
+    target = np.asarray(target, dtype=np.int64)
+    after = target.searchsorted(fires + first)
+    hits = after < target.size
+    hits[hits] = target[after[hits]] - fires[hits] <= last
+    return hits
+
+
+def co_occurrence_rate(target: np.ndarray, candidate: np.ndarray) -> float:
     """COR of ``candidate`` with respect to ``target`` (same-minute overlap).
 
     Returns 0 when the target has no invocations.
     """
-    target_mask = _as_bool_mask(target)
-    candidate_mask = _as_bool_mask(candidate)
-    if target_mask.shape != candidate_mask.shape:
-        raise ValueError("target and candidate series must have the same length")
-    invoked = int(target_mask.sum())
-    if invoked == 0:
-        return 0.0
-    overlap = int(np.logical_and(target_mask, candidate_mask).sum())
-    return overlap / invoked
-
-
-def lagged_co_occurrence_rate(
-    target: Sequence[int] | np.ndarray,
-    candidate: Sequence[int] | np.ndarray,
-    lag: int,
-) -> float:
-    """T-lagged COR: fraction of target invocations preceded by the candidate.
-
-    A target invocation at minute ``t`` co-occurs when the candidate was
-    invoked at minute ``t - lag``.  ``lag = 0`` reduces to the plain COR.
-    """
-    if lag < 0:
-        raise ValueError("lag must be non-negative")
-    target_mask = _as_bool_mask(target)
-    candidate_mask = _as_bool_mask(candidate)
-    if target_mask.shape != candidate_mask.shape:
-        raise ValueError("target and candidate series must have the same length")
-    invoked = int(target_mask.sum())
-    if invoked == 0:
-        return 0.0
-    if lag == 0:
-        shifted = candidate_mask
-    else:
-        shifted = np.zeros_like(candidate_mask)
-        shifted[lag:] = candidate_mask[:-lag]
-    overlap = int(np.logical_and(target_mask, shifted).sum())
-    return overlap / invoked
+    return best_lagged_cor(target, candidate, 0)[0]
 
 
 def best_lagged_cor(
-    target: Sequence[int] | np.ndarray,
-    candidate: Sequence[int] | np.ndarray,
-    max_lag: int,
+    target: np.ndarray, candidate: np.ndarray, max_lag: int
 ) -> tuple[float, int]:
     """Best T-lagged COR over lags ``0..max_lag`` and the lag achieving it.
 
-    Ties break toward the smallest lag, so a same-minute co-occurrence is
-    preferred over an equally strong lagged one.
+    Ties break toward the smallest lag (``argmax`` keeps the first
+    maximum), so a same-minute co-occurrence is preferred over an equally
+    strong lagged one.  An empty target scores ``(0.0, 0)``.
     """
-    if max_lag < 0:
-        raise ValueError("max_lag must be non-negative")
-    best_value = -1.0
-    best_lag = 0
-    for lag in range(max_lag + 1):
-        value = lagged_co_occurrence_rate(target, candidate, lag)
-        if value > best_value:
-            best_value = value
-            best_lag = lag
-    return best_value, best_lag
-
-
-def forward_trigger_rate(
-    predictor: Sequence[int] | np.ndarray,
-    target: Sequence[int] | np.ndarray,
-    max_lag: int,
-) -> float:
-    """Fraction of predictor invocations followed by a target invocation within ``max_lag``.
-
-    Used as a precision check when mining correlation links: a very frequent
-    function trivially achieves a high T-lagged COR for any target, but it is
-    only a useful pre-warming signal when a reasonable share of its own
-    invocations actually precede the target.
-
-    A fire at minute ``m`` is a hit when the target is invoked anywhere in
-    ``m .. m + max_lag`` (clipped to the series); one integer prefix sum over
-    the target mask counts every fire's window at once, so the rate is exact.
-    """
-    if max_lag < 0:
-        raise ValueError("max_lag must be non-negative")
-    predictor_mask = _as_bool_mask(predictor)
-    target_mask = _as_bool_mask(target)
-    if predictor_mask.shape != target_mask.shape:
-        raise ValueError("predictor and target series must have the same length")
-    fires = np.flatnonzero(predictor_mask)
-    if fires.size == 0:
-        return 0.0
-    duration = target_mask.shape[0]
-    prefix = np.zeros(duration + 1, dtype=np.int64)
-    np.cumsum(target_mask, out=prefix[1:])
-    ends = np.minimum(fires + (min(max_lag, duration) + 1), duration)
-    hits = int(np.count_nonzero(prefix[ends] > prefix[fires]))
-    return hits / fires.size
-
-
-def mean_pairwise_cor(
-    targets: Sequence[Sequence[int] | np.ndarray],
-    candidates: Sequence[Sequence[int] | np.ndarray],
-) -> float:
-    """Mean COR of every (target, candidate) pair; used by the §III-B2 analysis."""
-    if not targets or not candidates:
-        return 0.0
-    values = [
-        co_occurrence_rate(target, candidate)
-        for target in targets
-        for candidate in candidates
-    ]
-    return float(np.mean(values))
+    overlaps = lagged_overlaps(target, candidate, max_lag)
+    if len(target) == 0:
+        return 0.0, 0
+    lag = int(overlaps.argmax())
+    return int(overlaps[lag]) / len(target), lag

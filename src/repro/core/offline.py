@@ -28,7 +28,7 @@ import numpy as np
 from repro.core.categories import FunctionCategory
 from repro.core.classifier import CategoryDecision, DeterministicClassifier
 from repro.core.config import SpesConfig
-from repro.core.correlation import best_lagged_cor, forward_trigger_rate
+from repro.core.correlation import best_lagged_cor, window_hits
 from repro.core.indeterminate import (
     CorrelationLink,
     StrategyOutcome,
@@ -166,20 +166,22 @@ class OfflineCategorizer:
         if config.enable_correlation and pending:
             links_by_target = self._mine_links(training, pending)
 
-        validation_start = max(
-            0,
-            training.duration_minutes
-            - int(round(config.validation_days * MINUTES_PER_DAY)),
-        )
-        for function_id in pending:
-            profile = self._assign_indeterminate(
-                function_id,
-                training,
-                summaries[function_id],
-                links_by_target.get(function_id, ()),
-                validation_start,
+        if pending:
+            validation_start = max(
+                0,
+                training.duration_minutes
+                - int(round(config.validation_days * MINUTES_PER_DAY)),
             )
-            result.profiles[function_id] = profile
+            # One cut for every pending function and its link predictors.
+            validation = training.slice(validation_start, training.duration_minutes)
+            for function_id in pending:
+                result.profiles[function_id] = self._assign_indeterminate(
+                    function_id,
+                    training,
+                    validation,
+                    summaries[function_id],
+                    links_by_target.get(function_id, ()),
+                )
 
         return result
 
@@ -222,8 +224,8 @@ class OfflineCategorizer:
 
         for target_id in targets:
             record = training.record(target_id)
-            target_series = training.series(target_id)
-            if not target_series.any():
+            target = training.row(target_id)[0]
+            if not target.size:
                 continue
 
             candidates = set(by_app.get(record.app_id, ()))
@@ -241,17 +243,19 @@ class OfflineCategorizer:
 
             found: List[CorrelationLink] = []
             for candidate_id in ranked:
-                candidate_series = training.series(candidate_id)
-                if not candidate_series.any():
+                candidate = training.row(candidate_id)[0]
+                if not candidate.size:
                     continue
-                cor, lag = best_lagged_cor(
-                    target_series, candidate_series, config.tcor_max_lag
-                )
+                cor, lag = best_lagged_cor(target, candidate, config.tcor_max_lag)
                 if cor < config.tcor_threshold:
                     continue
-                precision = forward_trigger_rate(
-                    candidate_series, target_series, config.tcor_max_lag
-                )
+                # Precision: the share of the candidate's fires followed by
+                # the target within the lag window.  A very frequent
+                # function trivially reaches a high T-lagged COR for any
+                # target, but is a useful pre-warming signal only when
+                # enough of its own fires actually precede the target.
+                hits = window_hits(candidate, target, 0, config.tcor_max_lag)
+                precision = int(np.count_nonzero(hits)) / candidate.size
                 if precision < config.correlation_precision_threshold:
                     continue
                 found.append(
@@ -269,13 +273,12 @@ class OfflineCategorizer:
         self,
         function_id: str,
         training: Trace,
+        validation_window: Trace,
         summary: InvocationSummary,
         links: tuple[CorrelationLink, ...],
-        validation_start: int,
     ) -> FunctionProfile:
         config = self.config
-        series = training.series(function_id)
-        validation = series[validation_start:]
+        validation = validation_window.series(function_id)
 
         outcomes: Dict[FunctionCategory, StrategyOutcome] = {}
         outcomes[FunctionCategory.PULSED] = evaluate_pulsed_strategy(
@@ -293,7 +296,7 @@ class OfflineCategorizer:
 
         if links:
             predictor_series = [
-                (training.series(link.predictor_id)[validation_start:], link.lag)
+                (validation_window.series(link.predictor_id), link.lag)
                 for link in links
             ]
             outcomes[FunctionCategory.CORRELATED] = evaluate_correlated_strategy(

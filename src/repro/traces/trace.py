@@ -131,6 +131,26 @@ def _record_map(records: Iterable[FunctionRecord]) -> Dict[str, FunctionRecord]:
     return mapping
 
 
+def _record_token(record: FunctionRecord, sparse: bool) -> str:
+    """``record``'s ``\\x1e``-terminated fingerprint token.
+
+    Ids and trigger, then the measured duration profile and memory footprint
+    when present; the ``sparse:`` domain marks an absent profile with ``-``.
+    """
+    token = (
+        f"{record.function_id}\x1f{record.app_id}\x1f{record.owner_id}"
+        f"\x1f{record.trigger.value}"
+    )
+    duration = record.duration
+    if duration is not None:
+        token += f"\x1f{duration.cold_start_ms!r}:{duration.execution_ms!r}"
+    elif sparse:
+        token += "\x1f-"
+    if record.memory_mb is not None:
+        token += f"\x1f{record.memory_mb!r}"
+    return f"{token}\x1e"
+
+
 class _TokenSlot:
     """A lazily filled slot for the per-record ``sparse:`` fingerprint tokens.
 
@@ -321,12 +341,14 @@ class Trace:
         * dense counts (:class:`Trace`): each record's ids and trigger, then
           its row densified to the full duration;
         * CSR arrays (:class:`SparseTrace`): in a distinct ``sparse:`` domain,
-          every record's token, then the arrays themselves.  The tokens also
-          cover measured duration profiles and memory footprints, which feed
-          the event engine and MB-mode accounting, so two dataset loads
-          differing only in those joins never share cached results.  The
-          memory field is appended only when present, keeping digests of
-          memory-less traces unchanged.
+          every record's token, then the arrays themselves.
+
+        Both domains also cover each record's measured duration profile and
+        memory footprint, which feed the event engine and MB-mode
+        accounting, so two traces differing only in those never share cached
+        results.  The dense domain appends each only when present, and the
+        sparse domain the memory field, keeping the digests of traces
+        without them unchanged.
 
         The two domains never coincide, which keeps cached results
         unambiguous about their source.
@@ -346,10 +368,7 @@ class Trace:
                 digest.update(str(self._duration).encode())
                 series = np.zeros(self._duration, dtype=np.int64)
                 for position, record in enumerate(self._records.values()):
-                    digest.update(
-                        f"{record.function_id}\x1f{record.app_id}\x1f{record.owner_id}"
-                        f"\x1f{record.trigger.value}\x1e".encode()
-                    )
+                    digest.update(_record_token(record, sparse=False).encode())
                     minutes, counts = self._row(position)
                     series[minutes] = counts
                     digest.update(memoryview(series))
@@ -358,23 +377,8 @@ class Trace:
         return self._fingerprint
 
     def _record_tokens(self) -> bytes:
-        """Every record's ``\\x1e``-terminated ``sparse:`` token, concatenated."""
-        tokens = []
-        for record in self._records.values():
-            duration = record.duration
-            measured = (
-                f"{duration.cold_start_ms!r}:{duration.execution_ms!r}"
-                if duration is not None
-                else "-"
-            )
-            token = (
-                f"{record.function_id}\x1f{record.app_id}\x1f{record.owner_id}"
-                f"\x1f{record.trigger.value}\x1f{measured}"
-            )
-            if record.memory_mb is not None:
-                token += f"\x1f{record.memory_mb!r}"
-            tokens.append(f"{token}\x1e")
-        return "".join(tokens).encode()
+        """Every record's ``sparse:`` token, concatenated."""
+        return "".join(_record_token(r, sparse=True) for r in self._records.values()).encode()
 
     def invocation_index(self, start: int = 0) -> InvocationIndex:
         """The cached :class:`InvocationIndex` of this trace, or of its tail.

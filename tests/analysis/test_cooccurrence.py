@@ -1,8 +1,12 @@
 """Tests for the co-occurrence study (§III-B2)."""
 
 import numpy as np
+import pytest
+from cooccurrence_reference import correlated_groups_reference
 
 from repro.analysis import cooccurrence_study
+from repro.analysis.cooccurrence import correlated_groups
+from repro.scenarios import build_scenario
 from repro.traces import FunctionRecord, Trace, TriggerType
 from repro.traces.schema import TraceMetadata
 
@@ -56,3 +60,37 @@ class TestCooccurrenceStudy:
         first = cooccurrence_study(trace, negative_samples_per_function=10, seed=7)
         second = cooccurrence_study(trace, negative_samples_per_function=10, seed=7)
         assert first.negative_cor == second.negative_cor
+
+
+class TestCorrelatedGroupsMatchReference:
+    """Groups from CSR rows equal the dense-series oracle's, group for group."""
+
+    @pytest.mark.parametrize(
+        "scenario, params",
+        [
+            ("hot-shard", dict(seed=5, n_functions=25, days=2, training_days=1.5)),
+            ("azure", dict(seed=3, n_functions=60, days=3, training_days=2)),
+        ],
+    )
+    @pytest.mark.parametrize("min_cor", [0.2, 0.5, 0.8])
+    def test_seeded_scenarios(self, scenario, params, min_cor):
+        training = build_scenario(scenario, **params).split.training
+        groups = correlated_groups(training, min_cor=min_cor)
+        assert groups, "the scenario must yield groups for the comparison to bite"
+        assert groups == correlated_groups_reference(training, min_cor=min_cor)
+
+    @pytest.mark.parametrize("min_invocations", [0, 1, 5])
+    def test_related_trace_with_idle_functions(self, min_invocations):
+        related = build_related_trace()
+        # Two never-invoked functions in the co-firing app: empty rows.
+        records = related.records() + [
+            FunctionRecord(f"a1-idle{i}", "app1", "o1", TriggerType.QUEUE) for i in range(2)
+        ]
+        counts = {fid: related.series(fid) for fid in related.function_ids}
+        trace = Trace(records, counts, related.metadata)
+        for min_cor in (0.0, 0.3, 1.0):
+            assert correlated_groups(
+                trace, min_cor=min_cor, min_invocations=min_invocations
+            ) == correlated_groups_reference(
+                trace, min_cor=min_cor, min_invocations=min_invocations
+            )

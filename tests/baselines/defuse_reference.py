@@ -1,8 +1,8 @@
 """Reference dependency miner: the per-minute loop Defuse mining replaced.
 
-``repro.baselines.defuse.mine_dependencies`` counts window hits with an
-integer prefix sum; this loop scans each predecessor invocation's windows
-with ``.any()``.  The hit counts are integers either way, so both must mine
+``repro.baselines.defuse.mine_dependencies`` counts window hits with
+``repro.core.correlation.window_hits`` over sorted minute arrays; this loop
+scans each predecessor invocation's windows with ``.any()``.  The hit counts are integers either way, so both must mine
 identical ``Dependency`` lists (same order, same confidences).
 """
 

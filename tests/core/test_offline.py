@@ -116,6 +116,23 @@ class TestCorrelatedAssignment:
             assert child_profile.links[0].predictor_id == "parent"
             assert result.predictor_index()["parent"][0][0] == "child"
 
+    def test_each_training_row_is_densified_once(self, monkeypatch):
+        # Link mining reads CSR rows and validation reads one slice of the
+        # training window, so categorize densifies each training row once.
+        trace = self._chained_trace()
+        calls = []
+        series = Trace.series
+
+        def counting(self, function_id):
+            if self is trace:
+                calls.append(function_id)
+            return series(self, function_id)
+
+        monkeypatch.setattr(Trace, "series", counting)
+        result = OfflineCategorizer().categorize(trace)
+        assert any(profile.links for profile in result.profiles.values())
+        assert sorted(calls) == sorted(trace.function_ids)
+
     def test_correlation_disabled_removes_links(self):
         trace = self._chained_trace()
         result = OfflineCategorizer(SpesConfig(enable_correlation=False)).categorize(trace)

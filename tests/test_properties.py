@@ -8,11 +8,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import FixedKeepAlivePolicy, IdleTimeHistogram
 from repro.core import SpesPolicy
-from repro.core.correlation import (
-    best_lagged_cor,
-    co_occurrence_rate,
-    lagged_co_occurrence_rate,
-)
+from repro.core.correlation import best_lagged_cor, co_occurrence_rate, lagged_overlaps
 from repro.core.indeterminate import evaluate_pulsed_strategy
 from repro.core.predictive import PredictiveValues
 from repro.core.sequences import extract_sequences
@@ -91,14 +87,27 @@ class TestSlackingProperties:
 # Correlation invariants
 # --------------------------------------------------------------------------- #
 class TestCorrelationProperties:
+    """COR over the invoked minutes of two paired count series."""
+
+    @staticmethod
+    def rows(data):
+        target = np.flatnonzero([pair[0] for pair in data])
+        candidate = np.flatnonzero([pair[1] for pair in data])
+        return target, candidate
+
+    @staticmethod
+    def lagged_cor(target, candidate, lag):
+        if target.size == 0:
+            return 0.0
+        return int(lagged_overlaps(target, candidate, lag)[lag]) / target.size
+
     @given(
         data=st.lists(
             st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=100
         )
     )
     def test_cor_bounded(self, data):
-        target = [pair[0] for pair in data]
-        candidate = [pair[1] for pair in data]
+        target, candidate = self.rows(data)
         value = co_occurrence_rate(target, candidate)
         assert 0.0 <= value <= 1.0
 
@@ -109,9 +118,8 @@ class TestCorrelationProperties:
         lag=st.integers(0, 10),
     )
     def test_lagged_cor_bounded(self, data, lag):
-        target = [pair[0] for pair in data]
-        candidate = [pair[1] for pair in data]
-        value = lagged_co_occurrence_rate(target, candidate, lag)
+        target, candidate = self.rows(data)
+        value = self.lagged_cor(target, candidate, lag)
         assert 0.0 <= value <= 1.0
 
     @given(
@@ -121,12 +129,11 @@ class TestCorrelationProperties:
         max_lag=st.integers(0, 5),
     )
     def test_best_lagged_cor_is_maximum(self, data, max_lag):
-        target = [pair[0] for pair in data]
-        candidate = [pair[1] for pair in data]
+        target, candidate = self.rows(data)
         best, lag = best_lagged_cor(target, candidate, max_lag)
         assert lag <= max_lag
         for candidate_lag in range(max_lag + 1):
-            assert best >= lagged_co_occurrence_rate(target, candidate, candidate_lag)
+            assert best >= self.lagged_cor(target, candidate, candidate_lag)
 
 
 # --------------------------------------------------------------------------- #

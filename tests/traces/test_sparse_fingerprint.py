@@ -4,11 +4,13 @@ A trace adopted from CSR arrays keeps the ``sparse:`` digest: it encodes
 every record's token once, shares the bytes between the time slices cut
 from one trace, and hashes the CSR arrays in place.  A trace built from
 dense counts keeps the dense digest, now hashed from its CSR rows densified
-one at a time.  Neither digest may change: cache keys and their pinned
-digests depend on both.  ``reference_fingerprint`` is the earlier sparse
-loop, verbatim apart from reading the arrays through the trace's
-attributes; ``reference_dense_fingerprint`` is the earlier dense loop over
-a ``{function_id: series}`` mapping, fed here from the drawn matrix.
+one at a time.  Cache keys and their pinned digests depend on both.
+``reference_fingerprint`` is the earlier sparse loop, verbatim apart from
+reading the arrays through the trace's attributes;
+``reference_dense_fingerprint`` is the earlier dense loop over a
+``{function_id: series}`` mapping, fed here from the drawn matrix, with each
+record's measured duration and memory appended when present (records with
+neither hash exactly as that loop did).
 """
 
 from __future__ import annotations
@@ -57,10 +59,15 @@ def reference_dense_fingerprint(
     digest.update(str(duration).encode())
     for function_id, series in counts.items():
         record = by_id[function_id]
-        digest.update(
+        token = (
             f"{function_id}\x1f{record.app_id}\x1f{record.owner_id}"
-            f"\x1f{record.trigger.value}\x1e".encode()
+            f"\x1f{record.trigger.value}"
         )
+        if record.duration is not None:
+            token += f"\x1f{record.duration.cold_start_ms!r}:{record.duration.execution_ms!r}"
+        if record.memory_mb is not None:
+            token += f"\x1f{record.memory_mb!r}"
+        digest.update(f"{token}\x1e".encode())
         digest.update(np.asarray(series, dtype=np.int64).tobytes())
     return digest.hexdigest()
 
