@@ -26,10 +26,12 @@ from typing import Dict, List, Mapping, Sequence
 import numpy as np
 
 from repro.baselines.hybrid import HybridFunctionPolicy
-from repro.core.correlation import window_hits
 from repro.simulation.vector_policy import NEVER_MINUTE
 from repro.traces.schema import FunctionRecord
 from repro.traces.trace import InvocationIndex, Trace
+
+#: Stands in for "no successor minute after this fire" in dependency mining.
+_NO_LATER_MINUTE = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -84,22 +86,27 @@ def mine_dependencies(
         if not predecessors:
             continue
         # Every predecessor invocation at minute m opens the windows
-        # [m + 1, m + strong_lag] and [m + 1, m + weak_lag]; the hits of all
-        # predecessors against one successor come from one window_hits call
-        # and are summed per predecessor segment.
+        # [m + 1, m + strong_lag] and [m + 1, m + weak_lag]; both hit when
+        # the first successor minute after m is close enough, so one
+        # searchsorted of all predecessors' minutes per successor serves
+        # both lags, and the hits are summed per predecessor segment.  The
+        # weak window counts strong hits too, also when it is the shorter.
         pred_minutes = np.concatenate([minutes[i] for i in predecessors])
         sizes = [minutes[i].size for i in predecessors]
         segments = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        weak_reach = max(strong_lag, weak_lag)
 
         strong_hits = np.zeros((len(predecessors), len(members)), dtype=np.int64)
         weak_hits = np.zeros_like(strong_hits)
         for j, succ_minutes in enumerate(minutes):
             if succ_minutes.size == 0:
                 continue
-            strong = window_hits(pred_minutes, succ_minutes, 1, strong_lag)
-            weak = strong | window_hits(pred_minutes, succ_minutes, 1, weak_lag)
-            strong_hits[:, j] = np.add.reduceat(strong, segments, dtype=np.int64)
-            weak_hits[:, j] = np.add.reduceat(weak, segments, dtype=np.int64)
+            # A sentinel past every minute: a fire with no later successor
+            # minute gets a gap no window reaches.
+            padded = np.append(succ_minutes, _NO_LATER_MINUTE)
+            gap = padded[padded.searchsorted(pred_minutes, side="right")] - pred_minutes
+            strong_hits[:, j] = np.add.reduceat(gap <= strong_lag, segments, dtype=np.int64)
+            weak_hits[:, j] = np.add.reduceat(gap <= weak_reach, segments, dtype=np.int64)
 
         for row, i in enumerate(predecessors):
             predecessor = members[i]
@@ -125,12 +132,12 @@ class DefusePolicy(HybridFunctionPolicy):
 
     The offline phase seeds the histograms through the hybrid base, then runs
     :func:`mine_dependencies` over app-scoped candidate groups.  Binding
-    compiles the mined set into flat edge arrays (predecessor position,
-    successor position, pre-warm lag) ordered by predecessor; a minute then
-    costs the hybrid base's vectorized decision plus one
-    ``np.maximum.at`` scatter pushing ``minute + lag`` horizons to the
-    invoked predecessors' successors and one ``horizon > minute`` comparison
-    OR-ed into the residency mask: extend, expire, union.
+    compiles the mined set into one list of ``(successor position, pre-warm
+    lag)`` edges per predecessor position; a minute then costs the hybrid
+    base's decision plus a Python loop over the invoked predecessors'
+    edges, raising each successor's horizon to ``minute + lag`` by scalar
+    ``max``, and one ``horizon > minute`` comparison OR-ed into the
+    residency mask: extend, expire, union.
 
     Not ``shard_safe`` despite the per-function histogram base: mined
     dependencies pre-warm *other* functions, which a partition can separate
@@ -210,7 +217,6 @@ class DefusePolicy(HybridFunctionPolicy):
     # ------------------------------------------------------------------ #
     def on_bind(self, index: InvocationIndex) -> None:
         super().on_bind(index)
-        n = index.n_functions
         by_predecessor: Dict[int, List[tuple[int, int]]] = {}
         for dependency in self._mined:
             predecessor = index.index_of.get(dependency.predecessor)
@@ -223,25 +229,12 @@ class DefusePolicy(HybridFunctionPolicy):
             by_predecessor.setdefault(predecessor, []).append(
                 (successor, dependency.lag_window)
             )
-        counts = np.zeros(n, dtype=np.int64)
-        predecessors: List[int] = []
-        successors: List[int] = []
-        lags: List[int] = []
-        for predecessor in range(n):
-            for successor, lag in by_predecessor.get(predecessor, ()):
-                predecessors.append(predecessor)
-                successors.append(successor)
-                lags.append(lag)
-            counts[predecessor] = len(by_predecessor.get(predecessor, ()))
-        self._edge_predecessors = np.asarray(predecessors, dtype=np.int64)
-        self._succ_positions = np.asarray(successors, dtype=np.int64)
-        self._succ_lags = np.asarray(lags, dtype=np.int64)
-        self._succ_counts = counts
-        self._has_dependencies = bool(self._succ_positions.size)
-        # Scratch flags over predecessor positions, reused every minute so
-        # edge selection is one vectorized gather, no per-edge Python.
-        self._predecessor_invoked = np.zeros(n, dtype=bool)
-        self._prewarm_until = np.full(n, NEVER_MINUTE, dtype=np.int64)
+        # Each function position's outgoing edges, in mining order.
+        self._successors: List[Sequence[tuple[int, int]]] = [
+            by_predecessor.get(position, ()) for position in range(index.n_functions)
+        ]
+        self._has_dependencies = bool(by_predecessor)
+        self._prewarm_until = np.full(index.n_functions, NEVER_MINUTE, dtype=np.int64)
 
     def reset(self) -> None:
         super().reset()
@@ -253,20 +246,15 @@ class DefusePolicy(HybridFunctionPolicy):
         self, minute: int, invoked: np.ndarray, counts: np.ndarray
     ) -> np.ndarray:
         mask = super().on_minute_indexed(minute, invoked, counts)
-        if self._has_dependencies and invoked.size:
-            with_successors = invoked[self._succ_counts[invoked] > 0]
-            if with_successors.size:
-                flags = self._predecessor_invoked
-                flags[with_successors] = True
-                edges = np.flatnonzero(flags[self._edge_predecessors])
-                flags[with_successors] = False
-                np.maximum.at(
-                    self._prewarm_until,
-                    self._succ_positions[edges],
-                    minute + self._succ_lags[edges],
-                )
         if self._has_dependencies:
+            successors = self._successors
+            until = self._prewarm_until
+            for predecessor in invoked.tolist():
+                for successor, lag in successors[predecessor]:
+                    horizon = minute + lag
+                    if horizon > until[successor]:
+                        until[successor] = horizon
             # A horizon of `minute` is already expired; strictly-later
             # horizons pre-warm.
-            mask |= self._prewarm_until > minute
+            mask |= until > minute
         return mask

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set
+from typing import Dict, Sequence, Set
 
 import numpy as np
 
-from repro.baselines.histogram import IdleTimeHistogram, batched_windows
+from repro.baselines.histogram import IdleTimeHistogram, IncrementalHistogram
 from repro.simulation.vector_policy import NEVER_MINUTE, VectorizedPolicy
 from repro.traces.schema import FunctionRecord
 from repro.traces.trace import InvocationIndex, Trace
@@ -35,7 +35,7 @@ from repro.traces.trace import InvocationIndex, Trace
 class _UnitState:
     """Offline state tracked for one provisioning unit."""
 
-    histogram: IdleTimeHistogram
+    histogram: IncrementalHistogram
     members: Set[str] = field(default_factory=set)
 
 
@@ -45,20 +45,23 @@ class HybridHistogramPolicyBase(VectorizedPolicy):
     Subclasses define the provisioning unit by overriding :meth:`unit_of`.
 
     The offline phase maps functions to units and seeds each unit's
-    histogram from the training trace.  Binding compiles the unit structure
-    into arrays:
+    :class:`~repro.baselines.histogram.IncrementalHistogram` from the
+    training trace.  That histogram is the unit's only idle-time state; it
+    persists across binds, resets and runs without ``prepare``.  Binding
+    compiles the unit structure into arrays:
 
-    * ``_function_unit`` maps every function index to a unit index;
+    * ``_function_unit`` maps every function index to a unit index, or is
+      ``None`` when every function is its own unit (unit == function);
     * per-unit arrays hold the last invocation minute and the *effective*
       windows: the histogram's pre-warm and keep-alive windows when it is
       representative, ``(0, uncertain_keep_alive_minutes)`` otherwise,
-      refreshed only when a unit's histogram changes.
+      rewritten whenever a unit observes an idle time.
 
-    A minute then costs: a Python loop over the (few) invoked units to
-    observe idle times, one :func:`~repro.baselines.histogram.batched_windows`
-    call refreshing the windows of every unit that observed one, one
-    vectorized residency decision over unit space, and one gather from unit
-    space to function space.
+    A minute then costs: a Python loop over the (few) invoked units, each
+    observing its idle time, which moves its histogram's two percentile
+    cursors, and writing its effective windows; one vectorized residency
+    decision over unit space; and, unless unit == function, one gather from
+    unit space to function space.
 
     Parameters
     ----------
@@ -107,8 +110,8 @@ class HybridHistogramPolicyBase(VectorizedPolicy):
             self._units[unit] = state
         return state
 
-    def _new_histogram(self) -> IdleTimeHistogram:
-        return IdleTimeHistogram(
+    def _new_histogram(self) -> IncrementalHistogram:
+        return IncrementalHistogram(
             range_minutes=self.histogram_range_minutes,
             head_percentile=self.head_percentile,
             tail_percentile=self.tail_percentile,
@@ -177,34 +180,23 @@ class HybridHistogramPolicyBase(VectorizedPolicy):
             function_unit[position] = u
 
         n_units = len(unit_states)
-        self._function_unit = function_unit
+        # Units are numbered in first-appearance order, so as many units as
+        # functions means unit == function.
+        self._function_unit = None if n_units == index.n_functions else function_unit
         self._unit_histograms = [state.histogram for state in unit_states]
         self._unit_last = np.full(n_units, NEVER_MINUTE, dtype=np.int64)
         self._unit_prewarm = np.zeros(n_units, dtype=np.int64)
         self._unit_keepalive = np.zeros(n_units, dtype=np.int64)
-        self._refresh_units(list(range(n_units)))
+        for u, histogram in enumerate(self._unit_histograms):
+            self._write_windows(u, histogram)
 
-    def _refresh_units(self, units: List[int]) -> None:
-        """Re-derive the effective windows of ``units`` from their histograms.
-
-        The representative units' windows come from one
-        :func:`~repro.baselines.histogram.batched_windows` call.
-        """
-        histograms = self._unit_histograms
-        prewarm = self._unit_prewarm
-        keep_alive = self._unit_keepalive
-        trusted: List[int] = []
-        for u in units:
-            if histograms[u].is_representative:
-                trusted.append(u)
-            else:
-                prewarm[u] = 0
-                keep_alive[u] = self.uncertain_keep_alive_minutes
-        if trusted:
-            windows = batched_windows([histograms[u] for u in trusted])
-            for u, (head, tail) in zip(trusted, windows):
-                prewarm[u] = head
-                keep_alive[u] = tail
+    def _write_windows(self, u: int, histogram: IncrementalHistogram) -> None:
+        """Store unit ``u``'s effective windows from its histogram."""
+        if histogram.is_representative:
+            self._unit_prewarm[u], self._unit_keepalive[u] = histogram.windows()
+        else:
+            self._unit_prewarm[u] = 0
+            self._unit_keepalive[u] = self.uncertain_keep_alive_minutes
 
     def reset(self) -> None:
         if self.is_bound:
@@ -217,19 +209,21 @@ class HybridHistogramPolicyBase(VectorizedPolicy):
         self, minute: int, invoked: np.ndarray, counts: np.ndarray
     ) -> np.ndarray:
         if invoked.size:
-            # The (few) invoked units, deduplicated in first-seen order.
-            units = list(dict.fromkeys(self._function_unit[invoked].tolist()))
+            function_unit = self._function_unit
+            if function_unit is None:
+                units = invoked.tolist()
+            else:
+                # The (few) invoked units, deduplicated in first-seen order.
+                units = dict.fromkeys(function_unit[invoked].tolist())
             last = self._unit_last
             histograms = self._unit_histograms
-            observed = []
             for u in units:
                 previous = int(last[u])
                 if previous != NEVER_MINUTE and previous < minute:
-                    histograms[u].observe(minute - previous)
-                    observed.append(u)
-            last[units] = minute
-            if observed:
-                self._refresh_units(observed)
+                    histogram = histograms[u]
+                    histogram.observe(minute - previous)
+                    self._write_windows(u, histogram)
+                last[u] = minute
 
         # A unit is resident at the start of minute+1 when the elapsed time
         # since its last invocation lies inside [pre-warm, keep-alive].  At
@@ -239,15 +233,20 @@ class HybridHistogramPolicyBase(VectorizedPolicy):
         elapsed_next = (minute + 1) - self._unit_last
         resident_units = elapsed_next >= self._unit_prewarm
         resident_units &= elapsed_next <= self._unit_keepalive
+        if self._function_unit is None:
+            return resident_units
         return resident_units[self._function_unit]
 
     # ------------------------------------------------------------------ #
     # Introspection used by tests
     # ------------------------------------------------------------------ #
     def unit_histogram(self, unit: str) -> IdleTimeHistogram | None:
-        """Return the histogram tracked for ``unit`` (or None if unknown)."""
+        """An :class:`IdleTimeHistogram` of ``unit``'s samples (None if unknown).
+
+        Rebuilt from the unit's state on every call: a snapshot, not a view.
+        """
         state = self._units.get(unit)
-        return state.histogram if state is not None else None
+        return state.histogram.histogram() if state is not None else None
 
     def unit_members(self, unit: str) -> Set[str]:
         """Return the function ids the offline phase assigned to ``unit``."""

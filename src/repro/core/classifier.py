@@ -110,7 +110,8 @@ class DeterministicClassifier:
 
     def _is_regular(self, waiting_times: tuple[int, ...]) -> bool:
         values = np.asarray(waiting_times, dtype=float)
-        spread = float(np.percentile(values, 95) - np.percentile(values, 5))
+        low, high = np.percentile(values, [5, 95])
+        spread = float(high - low)
         if spread <= self.config.regular_percentile_spread:
             return True
         mean = values.mean()

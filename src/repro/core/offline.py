@@ -220,6 +220,7 @@ class OfflineCategorizer:
         config = self.config
         by_app = training.functions_by_app()
         by_owner = training.functions_by_owner()
+        position = {fid: i for i, fid in enumerate(training.function_ids)}
         links: Dict[str, tuple[CorrelationLink, ...]] = {}
 
         for target_id in targets:
@@ -233,12 +234,12 @@ class OfflineCategorizer:
             candidates.discard(target_id)
             if not candidates:
                 continue
-            # Prefer the most active candidates; cap the search to keep the
-            # offline phase tractable on large owner groups.
+            # Prefer the most active candidates, ties in record order (not
+            # in the set's hash order); cap the search to keep the offline
+            # phase tractable on large owner groups.
             ranked = sorted(
                 candidates,
-                key=lambda fid: training.total_invocations(fid),
-                reverse=True,
+                key=lambda fid: (-training.total_invocations(fid), position[fid]),
             )[: config.online_corr_max_candidates]
 
             found: List[CorrelationLink] = []

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import repro.baselines.histogram as histogram_module
 from repro.baselines import IdleTimeHistogram
-from repro.baselines.histogram import batched_windows
+from repro.baselines.histogram import IncrementalHistogram
 
 
 class TestIdleTimeHistogram:
@@ -186,85 +187,183 @@ class TestRunningCountsMatchReference:
         self.assert_matches(histogram, expected, 0)
 
 
-def batched(histograms):
-    windows = batched_windows(histograms)
-    assert all(type(value) is int for pair in windows for value in pair)
-    return windows
+def pair(idles=(), range_minutes=10, head=5.0, tail=99.0, **kwargs):
+    """The two histogram forms with the same parameters, fed ``idles`` in one batch."""
+    forms = (
+        IdleTimeHistogram(range_minutes, head, tail, **kwargs),
+        IncrementalHistogram(range_minutes, head, tail, **kwargs),
+    )
+    for histogram in forms:
+        histogram.observe_many(list(idles))
+    return forms
 
 
-class TestBatchedWindows:
-    """One stacked ``cumsum`` must give exactly ``[h.windows() for h in hs]``."""
+def assert_same(reference, incremental):
+    """Windows, trust and samples agree; windows are plain ints."""
+    windows = incremental.windows()
+    assert all(type(value) is int for value in windows)
+    assert windows == reference.windows()
+    assert incremental.is_representative == reference.is_representative
+    snapshot = incremental.histogram()
+    np.testing.assert_array_equal(snapshot.as_array(), reference.as_array())
+    assert snapshot.in_bounds_count == reference.in_bounds_count
+    assert snapshot.out_of_bounds_count == reference.out_of_bounds_count
+    assert snapshot.windows() == reference.windows()
+
+
+class TestIncrementalHistogram:
+    """Two cursors must give exactly ``IdleTimeHistogram.windows()``."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_histograms(self, seed):
         rng = np.random.default_rng(seed)
         range_minutes = int(rng.choice([1, 2, 10, 240]))
-        histograms = []
         for _ in range(int(rng.integers(1, 40))):
             head, tail = sorted(rng.choice([0.0, 1.0, 5.0, 37.5, 50.0, 99.0, 100.0], size=2))
-            histogram = IdleTimeHistogram(
-                range_minutes=range_minutes, head_percentile=head, tail_percentile=tail
-            )
             size = int(rng.integers(0, 60))
-            histogram.observe_many(rng.integers(0, 2 * range_minutes + 2, size=size))
-            histograms.append(histogram)
-        assert batched(histograms) == [h.windows() for h in histograms]
+            idles = rng.integers(0, 2 * range_minutes + 2, size=size).tolist()
+            # Half the samples seed the histogram in one batch (cursors
+            # placed by cumsum); the rest arrive one by one (cursors walk).
+            cut = size // 2
+            reference, incremental = pair(idles[:cut], range_minutes, head, tail)
+            assert_same(reference, incremental)
+            for idle in idles[cut:]:
+                reference.observe(idle)
+                incremental.observe(idle)
+                assert_same(reference, incremental)
 
-    def test_chunked_batches(self, monkeypatch):
-        monkeypatch.setattr(histogram_module, "_BATCH_ROWS", 3)
+    def test_batches_between_single_observations(self):
+        # Every batch re-places both cursors; the single observations in
+        # between walk them from there.
         rng = np.random.default_rng(7)
-        histograms = []
+        reference, incremental = pair([], range_minutes=30)
         for _ in range(10):
-            histogram = IdleTimeHistogram(range_minutes=30)
-            histogram.observe_many(rng.integers(0, 40, size=int(rng.integers(0, 25))))
-            histograms.append(histogram)
-        assert batched(histograms) == [h.windows() for h in histograms]
+            batch = rng.integers(0, 40, size=int(rng.integers(0, 25)))
+            reference.observe_many(batch)
+            incremental.observe_many(batch)
+            assert_same(reference, incremental)
+            for idle in rng.integers(0, 40, size=int(rng.integers(0, 5))).tolist():
+                reference.observe(idle)
+                incremental.observe(idle)
+                assert_same(reference, incremental)
 
     def test_edge_cases(self):
-        def make(idles, range_minutes=10, head=5.0, tail=99.0):
-            histogram = IdleTimeHistogram(
-                range_minutes=range_minutes, head_percentile=head, tail_percentile=tail
-            )
-            histogram.observe_many(idles)
-            return histogram
-
-        histograms = [
-            make([]),  # zero in-bounds samples
-            make([11, 50, 200]),  # all out of bounds
-            make([10, 10, 10]),  # target in the last bin
-            make([0, 0, 0, 0]),  # keep-alive clamped to one minute
-            make([3, 4, 5], head=0.0, tail=0.0),
-            make([3, 4, 5], head=100.0, tail=100.0),
-            make([6] * 7, head=50.0, tail=50.0),  # head == tail
-            make([1, 2, 2, 3, 9], head=37.5, tail=37.5),
+        cases = [
+            pair([]),  # zero in-bounds samples
+            pair([11, 50, 200]),  # all out of bounds
+            pair([10, 10, 10]),  # target in the last bin
+            pair([0, 0, 0, 0]),  # keep-alive clamped to one minute
+            pair([3, 4, 5], head=0.0, tail=0.0),
+            pair([3, 4, 5], head=100.0, tail=100.0),
+            pair([6] * 7, head=50.0, tail=50.0),  # head == tail
+            pair([1, 2, 2, 3, 9], head=37.5, tail=37.5),
         ]
-        assert batched(histograms) == [h.windows() for h in histograms]
-
         # range_minutes=1: every rank sits in bin 0, bin 1 or past the last bin.
-        narrow = [
-            make(idles, range_minutes=1, head=head, tail=tail)
+        cases += [
+            pair(idles, range_minutes=1, head=head, tail=tail)
             for idles in ([], [0], [1], [0, 1, 1], [2, 3], [0, 5, 5, 5])
             for head, tail in ((0.0, 100.0), (5.0, 99.0), (50.0, 50.0))
         ]
-        assert batched(narrow) == [h.windows() for h in narrow]
+        for reference, incremental in cases:
+            assert_same(reference, incremental)
+        # The same samples one at a time, from an empty histogram.
+        for reference, _ in cases:
+            incremental = IncrementalHistogram(
+                reference.range_minutes, reference.head_percentile, reference.tail_percentile
+            )
+            for idle, count in enumerate(reference.as_array().tolist()):
+                for _ in range(count):
+                    incremental.observe(idle)
+            for _ in range(reference.out_of_bounds_count):
+                incremental.observe(reference.range_minutes + 1)
+            assert_same(reference, incremental)
 
     @pytest.mark.parametrize("idles", [[], [4, 9], [4, 4, 4, 0]])
     def test_target_past_the_last_bin(self, idles):
         # With no in-bounds sample the rank target (1) exceeds every
-        # cumulative count, so the search lands one past the last bin and is
-        # clamped to the range -- also when other rows do have samples.
-        empty = IdleTimeHistogram(range_minutes=3)
-        empty.observe_many(idles)
-        filled = IdleTimeHistogram(range_minutes=3)
-        filled.observe_many([1, 2, 3])
-        expected = [h.windows() for h in (empty, filled, empty)]
-        assert batched([empty, filled, empty]) == expected
-        if empty.in_bounds_count == 0:
-            assert expected[0] == (3, 3)
+        # cumulative count, so both cursors sit one past the last bin and
+        # the windows are clamped to the range; the first in-bounds sample
+        # walks them back onto its bin.
+        reference, incremental = pair(idles, range_minutes=3)
+        assert_same(reference, incremental)
+        if reference.in_bounds_count == 0:
+            assert incremental.windows() == (3, 3)
+            reference.observe(1)
+            incremental.observe(1)
+            assert_same(reference, incremental)
+            assert incremental.windows() == (1, 1)
 
-    def test_empty_sequence(self):
-        assert batched_windows([]) == []
+    def test_empty_histogram(self):
+        incremental = IncrementalHistogram(range_minutes=240)
+        assert incremental.windows() == (240, 240)
+        assert not incremental.is_representative
+        assert_same(IdleTimeHistogram(range_minutes=240), incremental)
 
-    def test_mixed_ranges_rejected(self):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"range_minutes": 0},
+            {"head_percentile": 50, "tail_percentile": 10},
+            {"min_samples": 0},
+            {"max_oob_fraction": 0},
+        ],
+    )
+    def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            batched_windows([IdleTimeHistogram(range_minutes=r) for r in (5, 6)])
+            IncrementalHistogram(**kwargs)
+
+    def test_negative_idle_rejected(self):
+        reference, incremental = pair([2, 3])
+        with pytest.raises(ValueError):
+            incremental.observe(-1)
+        with pytest.raises(ValueError):
+            incremental.observe_many([4, -1, 5])
+        assert_same(reference, incremental)
+
+    def test_snapshot_is_a_copy(self):
+        _, incremental = pair([3])
+        snapshot = incremental.histogram()
+        snapshot.observe(3)
+        assert incremental.histogram().as_array()[3] == 1
+
+
+#: Percentiles the hypothesis draws use, 0 and 100 included.
+PERCENTILES = (0.0, 1.0, 5.0, 37.5, 50.0, 95.0, 99.0, 100.0)
+
+
+@st.composite
+def idle_streams(draw):
+    """Histogram parameters and a stream of single observations and batches."""
+    range_minutes = draw(st.one_of(st.integers(1, 10), st.just(240)))
+    head, tail = sorted(draw(st.lists(st.sampled_from(PERCENTILES), min_size=2, max_size=2)))
+    min_samples = draw(st.sampled_from((1, 2, 5, 10)))
+    idle = st.one_of(
+        st.just(0),
+        st.integers(0, range_minutes),
+        st.integers(range_minutes + 1, 2 * range_minutes + 2),
+    )
+    step = st.one_of(
+        idle,
+        st.lists(idle, max_size=6),  # a batch
+        # A run of out-of-bounds idle times.
+        st.integers(1, 8).map(lambda n: [range_minutes + 1] * n),
+    )
+    return range_minutes, head, tail, min_samples, draw(st.lists(step, max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(idle_streams())
+def test_cursors_match_a_fresh_histogram_after_every_observation(stream):
+    range_minutes, head, tail, min_samples, steps = stream
+    reference, incremental = pair(
+        [], range_minutes, head, tail, min_samples=min_samples
+    )
+    assert_same(reference, incremental)
+    for step in steps:
+        if isinstance(step, list):
+            reference.observe_many(step)
+            incremental.observe_many(step)
+        else:
+            reference.observe(step)
+            incremental.observe(step)
+        assert_same(reference, incremental)

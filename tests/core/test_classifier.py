@@ -56,6 +56,24 @@ class TestRegular:
         series = np.ones(500, dtype=int)
         assert classify(series).category is FunctionCategory.ALWAYS_WARM
 
+    def test_spread_equals_two_percentile_calls(self):
+        # _is_regular takes the 5th and 95th percentiles from one
+        # np.percentile call.  With the CV test off, a spread bound at the
+        # two-call spread must pass and one ulp below it must fail, so the
+        # two forms agree bit for bit.
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            size = int(rng.integers(2, 60))
+            values = rng.integers(1, int(rng.choice([3, 60, 1440])), size=size)
+            values[0] = values[1] + 1  # CV > 0, so only the spread decides
+            waiting_times = tuple(values.tolist())
+            floats = np.asarray(waiting_times, dtype=float)
+            spread = float(np.percentile(floats, 95) - np.percentile(floats, 5))
+            below = float(np.nextafter(spread, -np.inf))
+            for bound, regular in ((spread, True), (max(below, 0.0), spread == 0.0)):
+                config = SpesConfig(regular_percentile_spread=bound, regular_cv_threshold=0.0)
+                assert DeterministicClassifier(config)._is_regular(waiting_times) is regular
+
     def test_too_few_waiting_times_not_categorized(self):
         series = np.zeros(100, dtype=int)
         series[[0, 50]] = 1

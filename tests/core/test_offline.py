@@ -1,7 +1,14 @@
 """Tests for the offline categorization pipeline."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.core import OfflineCategorizer, SpesConfig
 from repro.core.categories import FunctionCategory
@@ -132,6 +139,39 @@ class TestCorrelatedAssignment:
         result = OfflineCategorizer().categorize(trace)
         assert any(profile.links for profile in result.profiles.values())
         assert sorted(calls) == sorted(trace.function_ids)
+
+    def test_links_do_not_depend_on_the_hash_seed(self):
+        # Twelve candidates with the target's own series tie on invocation
+        # count and on COR, so which eight are searched and which five links
+        # are kept comes down to their order alone.  That order must be the
+        # trace's, whatever the order of the string hashes.
+        script = """
+import numpy as np
+from repro.core import OfflineCategorizer
+from repro.traces import FunctionRecord, Trace
+from repro.traces.schema import MINUTES_PER_DAY, TraceMetadata
+
+duration = 4 * MINUTES_PER_DAY
+series = np.zeros(duration, dtype=np.int64)
+series[np.random.default_rng(3).choice(duration, size=300, replace=False)] = 1
+ids = ["target"] + [f"twin-{i:02d}" for i in range(12)]
+records = [FunctionRecord(fid, "app", "owner") for fid in ids]
+metadata = TraceMetadata(name="ties", duration_minutes=duration)
+trace = Trace(records, {fid: series for fid in ids}, metadata)
+links = OfflineCategorizer()._mine_links(trace, ["target"])["target"]
+print([(link.predictor_id, link.lag) for link in links])
+"""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        outputs = set()
+        for hash_seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            completed = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            outputs.add(completed.stdout)
+        assert len(outputs) == 1, outputs
+        links = outputs.pop()
+        assert "twin-00" in links and "twin-05" not in links
 
     def test_correlation_disabled_removes_links(self):
         trace = self._chained_trace()
